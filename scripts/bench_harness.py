@@ -40,8 +40,9 @@ Recording runs also time one dedicated paper-scale point per benchmark
 (32 threads, reduced instruction count, the ``free+fwd`` policy),
 recorded under ``paper_points`` with the spin fast-forward diagnostics;
 the canneal point doubles as the flat ``paper_point_seconds`` metric,
-which ``--fail-threshold`` gates lower-is-better (skipped on the
-``REPRO_NO_FASTPATH=1`` leg).  ``--scale paper`` runs the whole sweep
+and the same point with ``Observability(ObsConfig())`` attached is
+``observed_point_seconds``.  ``--fail-threshold`` gates both
+lower-is-better (skipped on the ``REPRO_NO_FASTPATH=1`` leg).  ``--scale paper`` runs the whole sweep
 at the 32-thread machine width — all three benchmarks, now that the
 spin fast-forward engine parks barrier-spinning cores (the preset used
 to be canneal-only; see ``PAPER_BENCHMARKS``).  ``--benchmarks A,B``
@@ -81,7 +82,9 @@ GATED_METRICS = (
 #: pre-parking baseline.  Skipped on the ``REPRO_NO_FASTPATH=1``
 #: compare leg — that leg disables the very mechanism the metric
 #: measures, so it can never meet a baseline recorded with it on.
-GATED_SECONDS_METRICS = ("paper_point_seconds",)
+#: ``observed_point_seconds`` is the same point observed: it guards
+#: observation keeping the batched core legs and spin fast-forward on.
+GATED_SECONDS_METRICS = ("paper_point_seconds", "observed_point_seconds")
 
 BENCHMARKS = ("AS", "watersp", "canneal")
 
@@ -134,10 +137,13 @@ def kernel_events_per_sec(num_events: int = 200_000, repeats: int = 5) -> float:
     return best
 
 
-def paper_point(benchmark: str = "canneal", reps: int = 2) -> tuple[float, dict]:
+def paper_point(
+    benchmark: str = "canneal", reps: int = 2, observed: bool = False
+) -> tuple[float, dict]:
     """Wall seconds + fast-forward diagnostics for one paper-scale
     point: 32 threads, reduced instruction count, the paper's headline
-    policy (``free+fwd``).
+    policy (``free+fwd``); with ``observed``, each rep runs with a fresh
+    ``Observability(ObsConfig())`` attached.
 
     Recorded alongside the sweep metrics so the trajectory tracks the
     configuration the paper's figures actually need, not just the small
@@ -157,6 +163,7 @@ def paper_point(benchmark: str = "canneal", reps: int = 2) -> tuple[float, dict]
         bench_workload,
     )
     from repro.core.policy import FREE_ATOMICS_FWD
+    from repro.obs import ObsConfig, Observability
     from repro.system.simulator import run_workload
 
     scale = ExperimentScale(
@@ -168,8 +175,11 @@ def paper_point(benchmark: str = "canneal", reps: int = 2) -> tuple[float, dict]
     diagnostics: dict = {}
     with batch_gc_tuning():
         for _ in range(max(1, reps)):
+            observability = Observability(ObsConfig()) if observed else None
             start = time.perf_counter()
-            result = run_workload(workload, FREE_ATOMICS_FWD, config)
+            result = run_workload(
+                workload, FREE_ATOMICS_FWD, config, observability=observability
+            )
             elapsed = time.perf_counter() - start
             if elapsed < best:
                 best = elapsed
@@ -379,6 +389,8 @@ def main() -> int:
         if not os.environ.get("REPRO_NO_FASTPATH"):
             seconds, _ = paper_point("canneal")
             record["metrics"]["paper_point_seconds"] = round(seconds, 3)
+            seconds, _ = paper_point("canneal", observed=True)
+            record["metrics"]["observed_point_seconds"] = round(seconds, 3)
     else:
         # Dedicated 32-core points (the paper's machine width), one per
         # benchmark, each with the fast-forward diagnostics that prove
@@ -400,6 +412,8 @@ def main() -> int:
             for key in ("spin_cycles_skipped", "time_warp_jumps"):
                 if key in canneal:
                     record["metrics"][key] = canneal[key]
+            seconds, _ = paper_point("canneal", observed=True)
+            record["metrics"]["observed_point_seconds"] = round(seconds, 3)
     if args.compare:
         if not OUTPUT.exists():
             print(f"[no committed baseline at {OUTPUT}; nothing to compare]")

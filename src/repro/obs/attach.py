@@ -1,31 +1,39 @@
 """Attach the observability layer to a :class:`System`.
 
-:class:`Observability` instruments a system the way
-:class:`~repro.system.trace.PipelineTracer` instruments a core: by
-replacing *instance* attributes with thin wrappers that emit onto the
-:class:`~repro.obs.bus.EventBus` and then call the original.  The
-simulator's shared hot paths keep zero observability branches — a
-system without an attached observer executes exactly the pre-existing
-code (the basis of the byte-identity and perf-gate acceptance tests).
+:class:`Observability` emits onto the :class:`~repro.obs.bus.EventBus`
+from two kinds of attachment point, both set up per *instance* at
+attach time, so the simulator's shared hot paths keep zero
+observability branches and a system without an attached observer runs
+exactly the unobserved code (the basis of the byte-identity and
+perf-gate acceptance tests):
 
-Wrap points (all resolved via instance lookup at call time, so they
-fire identically under ``REPRO_NO_FASTPATH=1``):
+- the core's probe slot (:mod:`repro.uarch.probe`): dispatch and commit
+  listeners, which the batched fetch and commit windows call once per
+  instruction, and spin fast-forward's park/unpark listeners.  The
+  batched legs and spin fast-forward therefore stay on under
+  observation.  Every per-core stream is also counted on the probe, so
+  un-parking adds the skipped laps' ``pipeline/*`` counts and the
+  report's totals stay exact;
+- thin wrappers that replace instance attributes and then call the
+  original, resolved via instance lookup at call time so they fire
+  identically under ``REPRO_NO_FASTPATH=1``:
 
-- core: ``_dispatch`` (honoured by the inlined fetch loop),
-  ``_perform_load``, ``_perform_load_lock``, ``_finish_forward``,
-  ``_perform_store``, ``_do_commit``, ``_squash_from`` (cause read from
-  ``core.last_squash_cause``), ``_forward_load``;
-- atomic queue: ``_on_entry_locked`` / ``_on_entry_released`` — one
-  uniform lock/unlock stream that also covers lock *capture* via the
-  store broadcast (section 4.2), which never goes through
-  ``_perform_load_lock``;
-- watchdog: the ``on_timeout`` hook (fire) plus an ``_ensure_check``
-  wrap (arm);
-- hierarchy: ``_evict_from_l2`` (replacement / inclusion victims) and
-  ``_on_invalidate`` / ``_on_downgrade`` (deferred coherence requests
-  on locked lines);
-- directory: ``_open_txn`` / ``_start_recall`` open spans that
-  ``_close_txn`` / ``_complete_recall`` emit as completed transactions.
+  - core: ``_perform_load``, ``_perform_load_lock``, ``_finish_forward``,
+    ``_perform_store`` (with their prebound ``*_cb`` aliases),
+    ``_squash_from`` (cause read from ``core.last_squash_cause``),
+    ``_forward_load``;
+  - atomic queue: ``_on_entry_locked`` / ``_on_entry_released`` — one
+    uniform lock/unlock stream that also covers lock *capture* via the
+    store broadcast (section 4.2), which never goes through
+    ``_perform_load_lock``;
+  - watchdog: the ``on_timeout`` hook (fire) plus an ``_ensure_check``
+    wrap (arm);
+  - hierarchy: ``_evict_from_l2`` (replacement / inclusion victims) and
+    ``_on_invalidate`` / ``_on_downgrade`` (deferred coherence requests
+    on locked lines);
+  - directory: ``_open_txn`` / ``_start_recall`` open spans that
+    ``_close_txn`` / ``_complete_recall`` emit as completed
+    transactions.
 
 Online auditing: with ``audit_interval_cycles > 0`` the attacher posts
 a periodic event that runs the full invariant suite
@@ -47,6 +55,7 @@ from repro.obs.chrome import chrome_trace, write_chrome_trace
 from repro.obs.config import ObsConfig
 from repro.obs.health import build_health
 from repro.uarch.dynins import DynInstr
+from repro.uarch.probe import probe_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import pathlib
@@ -98,82 +107,81 @@ class Observability:
             self._attach_directory(system)
         return self
 
+    def _core_streams(self, core: "OutOfOrderCore", cat: str, *kinds: str) -> list:
+        """Resolve one core's streams and count them on its probe, where
+        spin fast-forward finds them (see ``repro.uarch.probe``)."""
+        streams = [self.bus.stream(cat, kind, core.core_id) for kind in kinds]
+        probe_of(core).streams.extend(streams)
+        return streams
+
     def _attach_pipeline(self, core: "OutOfOrderCore") -> None:
-        bus, queue, cid = self.bus, core.queue, core.core_id
-        orig_dispatch = core._dispatch
+        emit, queue = self.bus.emit_on, core.queue
+        dispatched, performed, store_performed, committed, squashed = (
+            self._core_streams(
+                core, "pipeline",
+                "dispatch", "perform", "store_perform", "commit", "squash",
+            )
+        )
         orig_load = core._perform_load
         orig_lock = core._perform_load_lock
         orig_forwarded = core._finish_forward
         orig_store = core._perform_store
-        orig_commit = core._do_commit
         orig_squash = core._squash_from
 
         def dispatch(instr: DynInstr) -> None:
-            orig_dispatch(instr)
-            bus.emit(
-                queue.now, "pipeline", "dispatch", cid, instr.seq,
-                info={"pc": instr.pc, "klass": instr.klass.value},
+            emit(
+                dispatched, queue.now, instr.seq, 0,
+                {"pc": instr.pc, "klass": instr.klass.value},
             )
+
+        def commit(instr: DynInstr) -> None:
+            emit(committed, queue.now, instr.seq, 0, {"klass": instr.klass.value})
 
         def perform_load(instr: DynInstr) -> None:
             was = instr.performed
             orig_load(instr)
             if instr.performed and not was:
-                bus.emit(
-                    queue.now, "pipeline", "perform", cid, instr.seq,
-                    info={"kind": "load", "addr": instr.address},
+                emit(
+                    performed, queue.now, instr.seq, 0,
+                    {"kind": "load", "addr": instr.address},
                 )
 
         def perform_lock(instr: DynInstr) -> None:
             was = instr.performed
             orig_lock(instr)
             if instr.performed and not was:
-                bus.emit(
-                    queue.now, "pipeline", "perform", cid, instr.seq,
-                    info={"kind": "load_lock", "line": instr.line},
+                emit(
+                    performed, queue.now, instr.seq, 0,
+                    {"kind": "load_lock", "line": instr.line},
                 )
 
         def finish_forward(instr: DynInstr, value: int) -> None:
             was = instr.performed
             orig_forwarded(instr, value)
             if instr.performed and not was:
-                bus.emit(
-                    queue.now, "pipeline", "perform", cid, instr.seq,
-                    info={"kind": "forwarded"},
-                )
+                emit(performed, queue.now, instr.seq, 0, {"kind": "forwarded"})
 
         def perform_store(store: DynInstr) -> None:
             was = store.store_performed
             orig_store(store)
             if store.store_performed and not was:
-                bus.emit(
-                    queue.now, "pipeline", "store_perform", cid, store.seq,
-                    info={
-                        "addr": store.address,
-                        "atomic": 1 if store.is_atomic else 0,
-                    },
+                emit(
+                    store_performed, queue.now, store.seq, 0,
+                    {"addr": store.address, "atomic": 1 if store.is_atomic else 0},
                 )
 
-        def do_commit(instr: DynInstr) -> None:
-            orig_commit(instr)
-            bus.emit(
-                queue.now, "pipeline", "commit", cid, instr.seq,
-                info={"klass": instr.klass.value},
-            )
-
         def squash_from(seq: int, new_pc: int) -> None:
-            bus.emit(
-                queue.now, "pipeline", "squash", cid, seq,
-                info={"new_pc": new_pc, "cause": core.last_squash_cause},
+            emit(
+                squashed, queue.now, seq, 0,
+                {"new_pc": new_pc, "cause": core.last_squash_cause},
             )
             orig_squash(seq, new_pc)
 
-        core._dispatch = dispatch  # type: ignore[method-assign]
+        probe_of(core).listen(dispatch=dispatch, commit=commit)
         core._perform_load = perform_load  # type: ignore[method-assign]
         core._perform_load_lock = perform_lock  # type: ignore[method-assign]
         core._finish_forward = finish_forward  # type: ignore[method-assign]
         core._perform_store = perform_store  # type: ignore[method-assign]
-        core._do_commit = do_commit  # type: ignore[method-assign]
         core._squash_from = squash_from  # type: ignore[method-assign]
         # The memory-request paths hand prebound ``*_cb`` aliases of
         # these methods to the hierarchy/event queue — refresh them so
@@ -183,16 +191,17 @@ class Observability:
         core._perform_store_cb = perform_store
 
     def _attach_forwarding(self, core: "OutOfOrderCore") -> None:
-        bus, queue, cid = self.bus, core.queue, core.core_id
+        emit, queue = self.bus.emit_on, core.queue
+        (forwarded,) = self._core_streams(core, "forward", "forward")
         orig_forward = core._forward_load
         depths = self.chain_depths
 
         def forward_load(instr: DynInstr, store: DynInstr) -> None:
             depth = chain_depth_of(store) + 1
             depths.append(depth)
-            bus.emit(
-                queue.now, "forward", "forward", cid, instr.seq,
-                info={
+            emit(
+                forwarded, queue.now, instr.seq, 0,
+                {
                     "store_seq": store.seq,
                     "depth": depth,
                     "to_atomic": 1 if instr.is_atomic else 0,
@@ -203,7 +212,8 @@ class Observability:
         core._forward_load = forward_load  # type: ignore[method-assign]
 
     def _attach_aq(self, core: "OutOfOrderCore") -> None:
-        bus, queue, cid = self.bus, core.queue, core.core_id
+        emit, queue = self.bus.emit_on, core.queue
+        locks, unlocks = self._core_streams(core, "aq", "lock", "unlock")
         aq = core.aq
         orig_locked = aq._on_entry_locked
         orig_released = aq._on_entry_released
@@ -213,20 +223,14 @@ class Observability:
         def on_locked(entry) -> None:
             orig_locked(entry)
             acquired[entry] = queue.now
-            bus.emit(
-                queue.now, "aq", "lock", cid, entry.seq,
-                info={"line": entry.line},
-            )
+            emit(locks, queue.now, entry.seq, 0, {"line": entry.line})
 
         def on_released(entry) -> None:
             orig_released(entry)
             start = acquired.pop(entry, queue.now)
             held = queue.now - start
             holds.append(held)
-            bus.emit(
-                queue.now, "aq", "unlock", cid, entry.seq, dur=held,
-                info={"line": entry.line},
-            )
+            emit(unlocks, queue.now, entry.seq, held, {"line": entry.line})
 
         aq._on_entry_locked = on_locked  # type: ignore[method-assign]
         aq._on_entry_released = on_released  # type: ignore[method-assign]
@@ -234,19 +238,16 @@ class Observability:
     def _attach_spinff(self, core: "OutOfOrderCore") -> None:
         """Stream spin fast-forward park/unpark events.
 
-        Note that pipeline tracing (``cfg.pipeline``) makes these
-        streams empty by construction: wrapping ``_do_commit`` routes
-        commit through the object-at-a-time leg, which never engages
-        the fast-forward engine — the detector is part of the batched
-        fast path it accelerates.
+        A parked span emits nothing but these two events: its skipped
+        laps' ``pipeline/*`` counts are added on un-park through the
+        core's probe, and the laps' individual events are not in the
+        ring.  An ``unpark`` carries the span as its ``dur``.
         """
-        bus, queue, cid = self.bus, core.queue, core.core_id
+        emit = self.bus.emit_on
+        parks, unparks = self._core_streams(core, "spinff", "park", "unpark")
 
         def on_park(cycle: int, period: int, lines) -> None:
-            bus.emit(
-                cycle, "spinff", "park", cid,
-                info={"period": period, "lines": sorted(lines)},
-            )
+            emit(parks, cycle, -1, 0, {"period": period, "lines": sorted(lines)})
 
         def on_unpark(cycle, skipped, laps, first_send) -> None:
             info = {"skipped": skipped, "laps": laps}
@@ -256,66 +257,65 @@ class Observability:
                 info["wake_kind"] = getattr(kind, "value", str(kind))
                 info["wake_line"] = line
                 info["wake_line_watched"] = watched
-            bus.emit(cycle, "spinff", "unpark", cid, dur=skipped, info=info)
+            emit(unparks, cycle, -1, skipped, info)
 
-        core.on_park = on_park
-        core.on_unpark = on_unpark
+        probe_of(core).listen(park=on_park, unpark=on_unpark)
 
     def _attach_watchdog(self, core: "OutOfOrderCore") -> None:
-        bus, queue, cid = self.bus, core.queue, core.core_id
+        emit, queue = self.bus.emit_on, core.queue
+        arms, fires = self._core_streams(core, "watchdog", "arm", "fire")
         watchdog = core.watchdog
         orig_ensure = watchdog._ensure_check
         obs = self
 
         def on_timeout(entry) -> None:
             obs.watchdog_fires += 1
-            bus.emit(
-                queue.now, "watchdog", "fire", cid, entry.seq,
-                info={"line": entry.line},
-            )
+            emit(fires, queue.now, entry.seq, 0, {"line": entry.line})
 
         def ensure_check() -> None:
             was = watchdog._check_scheduled
             orig_ensure()
             if watchdog._check_scheduled and not was:
-                bus.emit(
-                    queue.now, "watchdog", "arm", cid,
-                    info={"deadline": watchdog._last_activity + watchdog._threshold},
+                emit(
+                    arms, queue.now, -1, 0,
+                    {"deadline": watchdog._last_activity + watchdog._threshold},
                 )
 
         watchdog.on_timeout = on_timeout
         watchdog._ensure_check = ensure_check  # type: ignore[method-assign]
 
     def _attach_hierarchy(self, core: "OutOfOrderCore") -> None:
-        bus, queue, cid = self.bus, core.queue, core.core_id
+        emit, queue = self.bus.emit_on, core.queue
         hierarchy = core.hierarchy
         cfg = self.config
         if cfg.replacement:
+            (evictions,) = self._core_streams(core, "replace", "l2_evict")
             orig_evict = hierarchy._evict_from_l2
 
             def evict_from_l2(line: int) -> None:
-                bus.emit(queue.now, "replace", "l2_evict", cid, info={"line": line})
+                emit(evictions, queue.now, -1, 0, {"line": line})
                 orig_evict(line)
 
             hierarchy._evict_from_l2 = evict_from_l2  # type: ignore[method-assign]
         if cfg.coherence:
+            (deferrals,) = self._core_streams(core, "coherence", "defer")
             orig_inv = hierarchy._on_invalidate
             orig_down = hierarchy._on_downgrade
 
             def on_invalidate(message) -> None:
                 orig_inv(message)
                 if message.retained:
-                    bus.emit(
-                        queue.now, "coherence", "defer", cid,
-                        info={"line": message.line, "kind": "inv"},
+                    emit(
+                        deferrals, queue.now, -1, 0,
+                        {"line": message.line, "kind": "inv"},
                     )
 
             def on_downgrade(message) -> None:
                 orig_down(message)
                 if message.retained:
-                    bus.emit(
-                        queue.now, "coherence", "defer", cid,
-                        info={"line": message.line, "kind": "downgrade"},
+                    emit(
+                        deferrals, queue.now, -1, 0,
+                        {"line": message.line, "kind": "downgrade"},
                     )
 
             hierarchy._on_invalidate = on_invalidate  # type: ignore[method-assign]

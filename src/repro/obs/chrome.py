@@ -6,8 +6,9 @@ stream into the JSON Object Format of the Trace Event specification
 
 - instants (dispatch, commit, squash, watchdog arm/fire, forwarding,
   deferrals, evictions, audit findings) become phase-``"i"`` events;
-- completed spans (AQ lock holds, directory transactions and recalls)
-  become phase-``"X"`` events with a ``dur``;
+- completed spans (AQ lock holds, directory transactions and recalls,
+  parked spin fast-forward spans) become phase-``"X"`` events with a
+  ``dur``;
 - one simulated cycle maps to one microsecond of trace time, so cycle
   arithmetic survives the round trip exactly.
 
@@ -39,7 +40,12 @@ KNOWN_PHASES = ("X", "i", "M", "B", "E", "C")
 METADATA_NAMES = ("process_name", "thread_name", "process_sort_index", "thread_sort_index")
 
 #: Streams rendered as spans (everything else is an instant).
-_SPAN_STREAMS = {("aq", "unlock"), ("coherence", "txn"), ("coherence", "recall")}
+_SPAN_STREAMS = {
+    ("aq", "unlock"),
+    ("coherence", "txn"),
+    ("coherence", "recall"),
+    ("spinff", "unpark"),
+}
 
 
 def _meta(name: str, pid: int, tid: int, value) -> dict:

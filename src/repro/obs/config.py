@@ -33,8 +33,8 @@ class ObsConfig:
     forwarding: bool = True
     coherence: bool = True
     replacement: bool = True
-    #: Spin fast-forward park/unpark events (empty streams when
-    #: ``pipeline`` tracing is also on — see ``_attach_spinff``).
+    #: Spin fast-forward park/unpark events.  Observation never switches
+    #: the engine off; see ``Observability._attach_spinff``.
     spinff: bool = True
     #: Online ``verify_system`` sampling cadence; 0 = off.
     audit_interval_cycles: int = 0

@@ -13,6 +13,7 @@ watchdog arm, fire
 forward  forward (store-to-load forwarding-chain formation)
 coherence txn, recall, defer (directory transactions; deferrals)
 replace  l2_evict (replacement/inclusion-victim decisions)
+spinff   park, unpark (spin fast-forward; ``dur`` = the parked span)
 audit    violation (online ``verify_system`` findings)
 ======== =======================================================
 

@@ -15,6 +15,12 @@ costs bounded memory and ``timeline`` simply renders the retained
 window.  (The original implementation kept an unbounded list and would
 "happily eat your memory" — its own words — on long runs.)
 
+Dispatch and commit arrive through the core's probe
+(:mod:`repro.uarch.probe`), so a traced core keeps the batched pipeline
+legs and spin fast-forward.  A parked spin span therefore leaves a gap
+in the timeline: its laps are re-synthesized in the stats, not replayed
+as events.
+
 For system-wide, multi-category tracing (coherence, AQ locks,
 watchdog, forwarding chains) see :mod:`repro.obs`.
 """
@@ -28,6 +34,7 @@ from repro.consistency.model import OpKind, Operation
 from repro.obs.events import DEFAULT_CAPACITY, BoundedEventLog
 from repro.uarch.core import OutOfOrderCore
 from repro.uarch.dynins import DynInstr
+from repro.uarch.probe import probe_of
 
 
 @dataclass(frozen=True)
@@ -83,11 +90,9 @@ class PipelineTracer:
         self._cores.append(core)
         tracer = self
 
-        original_dispatch = core._dispatch
         original_perform_load = core._perform_load
         original_perform_lock = core._perform_load_lock
         original_perform_store = core._perform_store
-        original_commit = core._do_commit
         original_squash = core._squash_from
         original_finish_forward = core._finish_forward
 
@@ -104,7 +109,6 @@ class PipelineTracer:
             )
 
         def dispatch(instr: DynInstr) -> None:
-            original_dispatch(instr)
             record("dispatch", instr, instr.klass.value)
 
         def perform_load(instr: DynInstr) -> None:
@@ -139,8 +143,7 @@ class PipelineTracer:
                     detail += " unlock"
                 record(kind, store, detail)
 
-        def do_commit(instr: DynInstr) -> None:
-            original_commit(instr)
+        def commit(instr: DynInstr) -> None:
             record("commit", instr, instr.klass.value)
 
         def squash_from(seq: int, new_pc: int) -> None:
@@ -156,11 +159,10 @@ class PipelineTracer:
             )
             original_squash(seq, new_pc)
 
-        core._dispatch = dispatch  # type: ignore[method-assign]
+        probe_of(core).listen(dispatch=dispatch, commit=commit)
         core._perform_load = perform_load  # type: ignore[method-assign]
         core._perform_load_lock = perform_lock  # type: ignore[method-assign]
         core._perform_store = perform_store  # type: ignore[method-assign]
-        core._do_commit = do_commit  # type: ignore[method-assign]
         core._squash_from = squash_from  # type: ignore[method-assign]
         core._finish_forward = finish_forward  # type: ignore[method-assign]
         # The memory-request paths hand prebound ``*_cb`` aliases of

@@ -91,6 +91,7 @@ from repro.uarch.dynins import (
 )
 from repro.uarch.lsq import LoadQueue, StoreQueue
 from repro.uarch.rename import RenameMap
+from repro.uarch.probe import CoreProbe
 from repro.uarch.rob import ReorderBuffer
 from repro.uarch.spinff import STREAK_MIN as SPIN_STREAK_MIN, SpinFastForward
 from repro.uarch.storeset import StoreSetPredictor
@@ -318,6 +319,10 @@ class OutOfOrderCore:
         #: observers wrapping ``_squash_from`` can attribute the flush
         #: without the hot path carrying any extra branches.
         self.last_squash_cause: str = ""
+        #: The one observation slot (see repro.uarch.probe): dispatch /
+        #: commit / park / unpark listeners and counted event streams.
+        #: None unless a tool observes this core.
+        self.probe: Optional[CoreProbe] = None
 
         # Spin fast-forward (see repro.uarch.spinff).  The engine only
         # exists on the fast leg (REPRO_NO_FASTPATH=1 runs without it,
@@ -328,10 +333,6 @@ class OutOfOrderCore:
         self.parked = False
         self.spin_cycles_skipped = 0
         self.ff_parks = 0
-        #: Observability hooks: on_park(cycle, period, watched_lines),
-        #: on_unpark(cycle, skipped, laps, first_send | None).
-        self.on_park: Optional[Callable] = None
-        self.on_unpark: Optional[Callable] = None
         self._spin_streak = 0
         self._spinff: Optional[SpinFastForward] = None
         if self._fast and os.environ.get("REPRO_NO_SPINFF") != "1":
@@ -390,9 +391,8 @@ class OutOfOrderCore:
         pc = self.pc
         c_dispatched = self._c_dispatched
         table = _DISPATCH_TABLE
-        # PipelineTracer (and tests) may patch _dispatch on the
-        # *instance*; honour the hook instead of the inline fast path.
-        dispatch_hook = self.__dict__.get("_dispatch")
+        probe = self.probe
+        on_dispatch = probe.dispatch if probe is not None else None
         fetched = 0
         while fetched < self.cfg.fetch_width:
             # Mirror Program.fetch: wrong-path fetch past either end of
@@ -417,16 +417,17 @@ class OutOfOrderCore:
                 instr.pred_taken = taken
                 if taken:
                     instr.next_pc = dec.target_index
-            # Inlined _dispatch (hottest pipeline path): direct ROB
-            # append is safe — room was just checked and fetch hands out
-            # strictly increasing sequence numbers.
-            if dispatch_hook is not None:
-                dispatch_hook(instr)
-            else:
-                instr.dispatch_cycle = now
-                rob_entries.append(instr)
-                c_dispatched()
-                table[kidx](self, instr)
+            # Direct ROB append is safe — room was just checked and fetch
+            # hands out strictly increasing sequence numbers.  No commit
+            # check afterwards: dispatching cannot make the ROB head newly
+            # commit-ready (the only synchronous completions happen inside
+            # the handlers, via _complete, which checks).
+            instr.dispatch_cycle = now
+            rob_entries.append(instr)
+            c_dispatched()
+            table[kidx](self, instr)
+            if on_dispatch is not None:
+                on_dispatch(instr)
             pc = instr.next_pc
             fetched += 1
             if kidx == KIDX_HALT:
@@ -475,9 +476,8 @@ class OutOfOrderCore:
         p_counters = predictor._counters
         p_mask = predictor._mask
         branch_latency = self.cfg.branch_latency
-        # PipelineTracer (and tests) may patch _dispatch on the
-        # *instance*; honour the hook instead of the inline fast path.
-        dispatch_hook = self.__dict__.get("_dispatch")
+        probe = self.probe
+        on_dispatch = probe.dispatch if probe is not None else None
         fetched = 0
         dispatched = 0
         issued = 0
@@ -514,9 +514,7 @@ class OutOfOrderCore:
                 instr.pred_taken = taken
                 if taken:
                     instr.next_pc = dec.target_index
-            if dispatch_hook is not None:
-                dispatch_hook(instr)
-            elif kidx <= KIDX_BRANCH:
+            if kidx <= KIDX_BRANCH:
                 # _dispatch_alu/_dispatch_branch, inlined: the two most
                 # frequent classes skip the per-instruction dispatcher
                 # call frame.  Same captures, same subscriber tuples,
@@ -646,6 +644,8 @@ class OutOfOrderCore:
                 rob_entries.append(instr)
                 dispatched += 1
                 table[kidx](self, instr)
+            if on_dispatch is not None:
+                on_dispatch(instr)
             pc = instr.next_pc
             fetched += 1
             if kidx == KIDX_HALT:
@@ -682,45 +682,6 @@ class OutOfOrderCore:
             self._c_stall_sq()
             return False
         return True
-
-    def _has_dispatch_room(self, klass: InstrClass) -> bool:
-        if len(self._rob_entries) >= self._rob_capacity:
-            self._c_stall_rob()
-            return False
-        if klass is InstrClass.ATOMIC:
-            if self.aq.full:
-                self._c_stall_aq()
-                self._c_aq_alloc_stalls()
-                return False
-            if self.lq.full or self.sq.full:
-                self._c_stall_lsq()
-                return False
-            return True
-        if klass is InstrClass.LOAD:
-            if self.lq.full:
-                self._c_stall_lq()
-                return False
-            return True
-        if klass is InstrClass.STORE:
-            if self.sq.full:
-                self._c_stall_sq()
-                return False
-            return True
-        return True
-
-    def _dispatch(self, instr: DynInstr) -> None:
-        instr.dispatch_cycle = self.queue.now
-        # Direct ROB append: _has_dispatch_room already guaranteed space
-        # and fetch hands out strictly increasing sequence numbers, so
-        # ReorderBuffer.dispatch's guards cannot fire here.
-        self._rob_entries.append(instr)
-        self._c_dispatched()
-        # kidx-indexed table: one tuple index per instruction on the
-        # hottest pipeline path (no enum hash, no isinstance chain).
-        # No commit probe afterwards: dispatching cannot make the ROB
-        # head newly commit-ready — the only synchronous completions
-        # happen inside the handlers, via _complete, which probes.
-        _DISPATCH_TABLE[instr.dec.kidx](self, instr)
 
     def _dispatch_fence(self, instr: DynInstr) -> None:
         self._fences.append(instr)
@@ -1675,6 +1636,8 @@ class OutOfOrderCore:
     def _commit_tick(self) -> None:
         self._commit_scheduled = False
         entries = self._rob_entries
+        probe = self.probe
+        on_commit = probe.commit if probe is not None else None
         committed = 0
         while committed < self.cfg.commit_width:
             if not entries:
@@ -1684,6 +1647,8 @@ class OutOfOrderCore:
                 break
             entries.popleft()
             self._do_commit(head)
+            if on_commit is not None:
+                on_commit(head)
             committed += 1
             if self.finished:
                 break
@@ -1697,17 +1662,12 @@ class OutOfOrderCore:
 
         Inlines :meth:`_commit_ready` and :meth:`_do_commit` into one
         window loop with the loop-invariant lookups hoisted (the cycle
-        number, the store buffer, the rename arrays, the trace sink) and
+        number, the store buffer, the rename arrays, the trace sink, the
+        probe's commit listener) and
         the total committed counter added once per window.  Decision
         order and side effects are identical to the original, which
         ``REPRO_NO_FASTPATH=1`` keeps running.
         """
-        # PipelineTracer / obs wrap _do_commit on the *instance*; the
-        # inlined window would bypass the wrapper, so honour the hook by
-        # running the object-at-a-time original (same decisions).
-        if "_do_commit" in self.__dict__:
-            self._commit_tick()
-            return
         self._commit_scheduled = False
         entries = self._rob_entries
         width = self._commit_width
@@ -1715,6 +1675,8 @@ class OutOfOrderCore:
         sq = self.sq
         by_kidx = self._c_committed_by_kidx
         trace = self.commit_trace
+        probe = self.probe
+        on_commit = probe.commit if probe is not None else None
         regfile = self._regfile
         producers = self._producers
         versioned = self._versioned
@@ -1772,11 +1734,9 @@ class OutOfOrderCore:
             committed += 1
             if kidx == KIDX_ALU:
                 n_alu += 1
-                continue
-            if kidx == KIDX_BRANCH:
+            elif kidx == KIDX_BRANCH:
                 n_br += 1
-                continue
-            if kidx == KIDX_LOAD:
+            elif kidx == KIDX_LOAD:
                 n_ld += 1
                 self.lq.release(head)
             elif kidx == KIDX_STORE:
@@ -1805,7 +1765,11 @@ class OutOfOrderCore:
                 self.finish_cycle = now
                 if self.on_finished is not None:
                     self.on_finished()
+                if on_commit is not None:
+                    on_commit(head)
                 break
+            if on_commit is not None:
+                on_commit(head)
         if committed:
             self._c_committed(committed)
             if n_alu:

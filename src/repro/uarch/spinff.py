@@ -23,11 +23,14 @@ This module removes that time *exactly*:
    external message arrives.
 
 2. **Observe.**  Between the two matching signatures the engine diffs
-   the core's stats scope, accounting attributes and commit trace: the
-   per-lap delta.  It then keeps verifying the signature each lap with
-   the event kernel's post-log recording enabled until every pending
-   entry owned by the core was *seen being posted* — that pins each
-   entry's posting cycle relative to the lap, which the replay needs.
+   the core's stats scope, accounting attributes, commit trace and the
+   event streams counted on its probe (``repro.uarch.probe``): the
+   per-lap delta.  A lap that moves a probe stream other than
+   ``pipeline/*`` is not parked.  It then keeps verifying the
+   signature each lap with the event kernel's post-log recording
+   enabled until every pending entry owned by the core was *seen being
+   posted* — that pins each entry's posting cycle relative to the lap,
+   which the replay needs.
 
 3. **Park.**  The core's pending entries are physically removed from
    the calendar ring (descriptors remember due-offset and post-offset),
@@ -45,12 +48,12 @@ This module removes that time *exactly*:
 
 5. **Re-synthesize.**  Un-parking at boundary ``b`` means ``k = (b -
    t0) / P`` laps were skipped.  Stats gain ``k`` times the per-lap
-   delta, accounting attributes likewise, the commit trace gains ``k``
-   copies of the per-lap tape, per-instruction timestamps and other
-   now-anchored state shift by ``b - t0``, and the descriptors are
-   spliced back into the ring at the positions the final lap's live run
-   would have posted them (ordered against in-flight deliveries by
-   posting cycle).  Absolute-but-unobservable quantities (sequence
+   delta, accounting attributes and probe stream counts likewise, the
+   commit trace gains ``k`` copies of the per-lap tape, per-instruction
+   timestamps and other now-anchored state shift by ``b - t0``, and the
+   descriptors are spliced back into the ring at the positions the
+   final lap's live run would have posted them (ordered against
+   in-flight deliveries by posting cycle).  Absolute-but-unobservable quantities (sequence
    numbers, LRU stamp magnitudes) intentionally do not shift; relative
    order — the only thing the simulation ever consults — is preserved.
 
@@ -83,6 +86,19 @@ MAX_COVER_LAPS = 24
 #: latency (see _on_send), enforced at match time.
 MAX_PERIOD_CAP = 16
 
+#: The core's prebound event callbacks (attributes a tool may wrap).
+_PREBOUND_CALLBACKS = (
+    "_fetch_impl",
+    "_commit_cb",
+    "_execute_alu_cb",
+    "_resolve_branch_cb",
+    "_agen_cb",
+    "_finish_forward_cb",
+    "_perform_load_cb",
+    "_perform_load_lock_cb",
+    "_perform_store_cb",
+)
+
 #: Sentinel for "this state cannot be canonicalized" (never parked).
 _BAD = object()
 
@@ -110,6 +126,7 @@ class SpinFastForward:
         self._anchor_snapshot: Optional[tuple] = None
         self._anchor_attrs: Optional[tuple] = None
         self._anchor_trace_len = 0
+        self._anchor_streams: tuple = ()
         self._period = 0
         self._cover_laps = 0
         self._post_log: Optional[dict] = None
@@ -118,6 +135,10 @@ class SpinFastForward:
         self._hist_deltas: dict = {}
         self._attr_deltas: tuple = ()
         self._lap_tape: list = []
+        self._stream_deltas: tuple = ()
+        #: The core's wrapped prebound callbacks, read at the start of
+        #: each attempt (see _wrapped_callbacks).
+        self._wrapped: dict = {}
         # Park state.
         self._parked_at = 0
         self._descriptors: list = []
@@ -146,6 +167,7 @@ class SpinFastForward:
         if state == _IDLE:
             if now < self._next_try_cycle or not self._prefilter():
                 return
+            self._wrapped = self._wrapped_callbacks()
             sig = self._signature()
             if sig is None:
                 self._next_try_cycle = now + COOLDOWN_CYCLES
@@ -165,6 +187,8 @@ class SpinFastForward:
             )
             trace = core.commit_trace
             self._anchor_trace_len = len(trace) if trace is not None else 0
+            probe = core.probe
+            self._anchor_streams = probe.snapshot() if probe is not None else ()
             self._state = _MATCHING
             return
         if state == _MATCHING:
@@ -180,8 +204,16 @@ class SpinFastForward:
                 return
             # Exact period found: the first recurrence of the complete
             # relative state.  Capture the one-lap deltas.
-            self._period = elapsed
             core = self.core
+            probe = core.probe
+            if probe is not None:
+                deltas = probe.lap_delta(self._anchor_streams)
+                if deltas is None:
+                    # The lap emits events a count replay cannot restore.
+                    self.abort()
+                    return
+                self._stream_deltas = deltas
+            self._period = elapsed
             from repro.common.stats import diff_prefix_snapshots
 
             after = core.stats.snapshot_prefix(core.stats._scope)
@@ -402,6 +434,22 @@ class SpinFastForward:
             return _BAD if _BAD in parts else ("t", parts)
         return _BAD
 
+    def _wrapped_callbacks(self) -> dict:
+        """The core's prebound event callbacks that a tool replaced with
+        a plain-function wrapper, mapped to the attribute they replace.
+        ``Observability`` and ``PipelineTracer`` wrap the memory-request
+        ones; the stage accountant of ``benchmarks/bench_stage_breakdown.py``
+        wraps all of them.  Pending entries of these belong to the core
+        as much as its own methods' entries do, and the attribute name
+        stands in for the wrapper's own (wrappers may share one)."""
+        core = self.core
+        wrapped = {}
+        for name in _PREBOUND_CALLBACKS:
+            callback = getattr(core, name)
+            if getattr(callback, "__self__", None) is not core:
+                wrapped[callback] = name
+        return wrapped
+
     def _targets_core(self, arg) -> bool:
         if type(arg) is list:
             core_id = self.core.core_id
@@ -420,24 +468,31 @@ class SpinFastForward:
             return None
         core = self.core
         hierarchy = self.hierarchy
+        wrapped = self._wrapped
         now = queue.now
         canon = []
         for due, order, callback, arg, handle in queue.iter_ring():
             owner = getattr(callback, "__self__", None)
             if owner is core or owner is hierarchy:
+                name = callback.__name__
+            elif wrapped and callback in wrapped:
+                name = wrapped[callback]
+            else:
+                name = None
+            if name is not None:
                 if handle is not None:
                     return None
                 arg_c = self._canon_arg(arg, base)
                 if arg_c is _BAD:
                     return None
-                canon.append((due - now, callback.__name__, arg_c))
+                canon.append((due - now, name, arg_c))
                 if plan is not None:
                     plan.append((due, order, callback, arg))
             elif self._targets_core(arg):
                 return None
         for due, order, callback, arg, handle in queue.iter_heap():
             owner = getattr(callback, "__self__", None)
-            if owner is core or owner is hierarchy:
+            if owner is core or owner is hierarchy or callback in wrapped:
                 return None
             if self._targets_core(arg):
                 return None
@@ -469,10 +524,12 @@ class SpinFastForward:
         descriptors = []
         for due, order, callback, arg in plan:
             descriptors.append((due - now, now - log[order], callback, arg))
+        wrapped = self._wrapped
         extracted = self.queue.extract_ring(
             lambda cb, a, c=core, h=self.hierarchy: (
                 getattr(cb, "__self__", None) is c
                 or getattr(cb, "__self__", None) is h
+                or cb in wrapped
             )
         )
         assert len(extracted) == len(plan)
@@ -490,9 +547,9 @@ class SpinFastForward:
         core.ff_parks += 1
         self._state = _PARKED
         self._anchor = None
-        hook = core.on_park
-        if hook is not None:
-            hook(now, period, watched)
+        probe = core.probe
+        if probe is not None and probe.park is not None:
+            probe.park(now, period, watched)
         return True
 
     # ------------------------------------------------------------------
@@ -538,6 +595,8 @@ class SpinFastForward:
             core.predictor.mispredicts += laps * d[3]
             if self._lap_tape and core.commit_trace is not None:
                 core.commit_trace.extend(self._lap_tape * laps)
+            if core.probe is not None:
+                core.probe.replay(self._stream_deltas, laps)
         # Shift now-anchored state to the new boundary.  Sequence
         # numbers and LRU stamps deliberately stay put: the simulation
         # only ever consults their relative order, which is unchanged.
@@ -591,10 +650,9 @@ class SpinFastForward:
         self._sends = []
         self._state = _IDLE
         self._next_try_cycle = boundary
-        hook = core.on_unpark
-        if hook is not None:
-            first = self._first_send_info()
-            hook(boundary, skipped, laps, first)
+        probe = core.probe
+        if probe is not None and probe.unpark is not None:
+            probe.unpark(boundary, skipped, laps, self._first_send_info())
 
     def _first_send_info(self) -> Optional[tuple]:
         if not self._sends:

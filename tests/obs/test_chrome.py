@@ -49,6 +49,21 @@ class TestExport:
         assert txn["ts"] == 25 - 15 and txn["dur"] == 15
         assert txn["pid"] == DIRECTORY_PID  # src=-1 -> directory lane
 
+    def test_parked_span_is_X_on_its_core_track(self):
+        bus = small_bus()
+        bus.emit(100, "spinff", "park", 1, info={"period": 12, "lines": [0x40]})
+        bus.emit(
+            148, "spinff", "unpark", 1, dur=48,
+            info={"skipped": 48, "laps": 4, "wake_line": 0x40},
+        )
+        payload = chrome_trace(bus, num_cores=2)
+        assert validate_trace(payload) == []
+        (span,) = [e for e in payload["traceEvents"] if e["name"] == "spinff:unpark"]
+        assert span["ph"] == "X"
+        assert span["ts"] == 100 and span["dur"] == 48
+        assert span["pid"] == CORES_PID and span["tid"] == 1
+        assert span["args"]["laps"] == 4
+
     def test_instants_carry_scope_and_seq(self):
         payload = chrome_trace(small_bus(), num_cores=2)
         instants = {e["name"]: e for e in payload["traceEvents"] if e["ph"] == "i"}

@@ -16,12 +16,15 @@ import json
 
 import pytest
 
+from repro.common.config import icelake_config
 from repro.common.errors import DeadlockError, SimulationError
 from repro.core.policy import FREE_ATOMICS, FREE_ATOMICS_FWD
 from repro.obs import ObsConfig, Observability
 from repro.obs.config import ConfigError
 from repro.obs.health import HEALTH_SCHEMA, pow2_histogram
 from repro.system.simulator import System, run_workload
+from repro.system.trace import PipelineTracer
+from repro.workloads.generator import WorkloadScale, generate_workload
 from tests.conftest import counter_workload, small_system_config
 from tests.integration.test_deadlocks import rmw_rmw_workload
 
@@ -243,3 +246,63 @@ class TestBoundsAndLifecycle:
             observability=obs,
         )
         assert len(seen) == obs.bus.total()
+
+
+class TestObservedFastForward:
+    """Observation keeps spin fast-forward on, and stays exact with it."""
+
+    @staticmethod
+    def paper_width_health(monkeypatch, spinff: bool) -> dict:
+        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        if spinff:
+            monkeypatch.delenv("REPRO_NO_SPINFF", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NO_SPINFF", "1")
+        workload = generate_workload(
+            "canneal",
+            WorkloadScale(num_threads=32, instructions_per_thread=100, seed=0),
+        )
+        _, result = observed_run(workload, icelake_config(num_cores=32))
+        return result.health
+
+    def test_lap_resynthesis_is_exact(self, monkeypatch):
+        parked = self.paper_width_health(monkeypatch, spinff=True)
+        live = self.paper_width_health(monkeypatch, spinff=False)
+        assert parked["fastforward"]["parks"] > 0, "never parked: dead test"
+        assert live["fastforward"]["parks"] == 0
+
+        def counts(health):
+            return {
+                stream: n
+                for stream, n in health["events"]["counts"].items()
+                if not stream.startswith("spinff/")
+            }
+
+        assert counts(parked) == counts(live)
+        assert parked["events"]["counts"]["spinff/unpark"] == (
+            parked["fastforward"]["parks"]
+        )
+        assert parked["lock_hold_cycles"] == live["lock_hold_cycles"]
+        assert parked["forward_chain_depth"] == live["forward_chain_depth"]
+
+    def test_tracer_and_observer_share_the_probe(self):
+        obs = Observability()
+        system = System(
+            counter_workload(3, 20),
+            policy=FREE_ATOMICS_FWD,
+            config=contended_config(),
+            observability=obs,
+        )
+        tracer = PipelineTracer()
+        for core in system.cores:
+            tracer.attach(core)
+        result = system.run()
+        assert tracer.dropped == 0 and obs.bus.dropped == 0
+        for kind, counter in (("dispatch", "dispatched"), ("commit", "committed")):
+            expected = result.stats.aggregate(counter)
+            assert expected > 0
+            traced = {(e.core, e.seq) for e in tracer.of_kind(kind)}
+            observed = {(e.src, e.seq) for e in obs.bus.of("pipeline", kind)}
+            assert len(tracer.of_kind(kind)) == expected
+            assert obs.bus.counts[f"pipeline/{kind}"] == expected
+            assert traced == observed

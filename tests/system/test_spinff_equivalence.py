@@ -22,7 +22,8 @@ import pytest
 
 from repro.common.config import icelake_config
 from repro.core.policy import FREE_ATOMICS_FWD
-from repro.system.simulator import run_workload
+from repro.system.simulator import System, run_workload
+from repro.uarch.spinff import _PREBOUND_CALLBACKS
 from repro.workloads.generator import WorkloadScale, generate_workload
 
 PAPER_WIDTH = 32
@@ -99,31 +100,70 @@ def test_barrier_kernels_identical(bench_name, monkeypatch):
 def test_paper_width_obs_attached_identical(monkeypatch):
     """Obs-attached A/B at 32 threads: parking must not eat events.
 
-    With observability attached the engine still parks (the per-lap
-    event tape is re-synthesized on wake), so the full structured event
-    stream, the per-stream counts, and the summary must all match the
-    reference leg exactly.
+    With observability attached the engine still parks.  A parked span
+    emits only its ``spinff/*`` park/unpark events; its skipped laps'
+    ``pipeline/*`` counts are re-synthesized on wake.  So against the
+    never-parking reference leg, the summary (apart from the health
+    report), the per-stream counts (apart from ``spinff/*``) and the
+    retained stream of every other category must match exactly, with a
+    ring large enough that neither leg drops an event.
     """
     from repro.obs.attach import Observability
+    from repro.obs.config import ObsConfig
 
     workload = paper_width_workload("canneal", 100)
     config = icelake_config(num_cores=PAPER_WIDTH)
-    streams = {}
+    runs = {}
     for leg in ("fast", "nofastpath"):
-        obs = Observability()
+        obs = Observability(ObsConfig(capacity=1 << 20))
         result = _run(workload, config, monkeypatch, leg, observability=obs)
-        streams[leg] = (
+        assert obs.bus.dropped == 0, f"{leg}: ring too small to compare"
+        summary = result.summary().to_json_dict()
+        health = summary["meta"].pop("health")
+        runs[leg] = (
             [
                 (e.cycle, e.cat, e.kind, e.src, e.seq, e.dur, e.info)
                 for e in obs.bus.ring
+                if e.cat not in ("pipeline", "spinff")
             ],
-            dict(obs.bus.counts),
-            result.summary().canonical_json(),
+            {
+                k: v
+                for k, v in obs.bus.counts.items()
+                if not k.startswith("spinff/")
+            },
+            summary,
+            health,
         )
-    fast, reference = streams["fast"], streams["nofastpath"]
+    fast, reference = runs["fast"], runs["nofastpath"]
+    assert fast[3]["fastforward"]["parks"] > 0, "observed leg never parked: dead test"
+    assert reference[3]["fastforward"]["parks"] == 0
     assert fast[0] == reference[0], "structured event streams diverge"
     assert fast[1] == reference[1], "per-stream event counts diverge"
     assert fast[2] == reference[2], "summaries diverge"
+
+
+def test_wrapped_prebound_callbacks_park_identically(monkeypatch):
+    """Tools (the stage accountant, the observers) replace the core's
+    prebound event callbacks with plain-function wrappers, here all of
+    them with one shared name.  Parking must still extract, canonicalize
+    and replay their pending entries as the core's own."""
+    for var in ("REPRO_NO_FASTPATH", "REPRO_NO_SPINFF"):
+        monkeypatch.delenv(var, raising=False)
+    workload = paper_width_workload("canneal", 100)
+    config = icelake_config(num_cores=PAPER_WIDTH)
+    plain = System(workload, policy=FREE_ATOMICS_FWD, config=config).run()
+    system = System(workload, policy=FREE_ATOMICS_FWD, config=config)
+    for core in system.cores:
+        for name in _PREBOUND_CALLBACKS:
+
+            def wrapper(*args, fn=getattr(core, name)):
+                return fn(*args)
+
+            setattr(core, name, wrapper)
+    wrapped = system.run()
+    assert wrapped.fastforward["parks"] > 0, "never parked: dead test"
+    assert wrapped.fastforward == plain.fastforward
+    assert wrapped.summary().canonical_json() == plain.summary().canonical_json()
 
 
 def test_time_warp_fires_at_paper_width(monkeypatch):
