@@ -41,6 +41,7 @@ method docstring for the exactness argument.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from typing import Callable, Optional
 
 Callback = Callable[[], None]
@@ -94,8 +95,9 @@ class EventQueue:
         "_micro",
         "_micro_pos",
         "warp_jumps",
-        "_post_log",
-        "_post_log_refs",
+        "_index_cycles",
+        "_index_orders",
+        "_spliced_posts",
     )
 
     def __init__(self) -> None:
@@ -125,17 +127,20 @@ class EventQueue:
         # Lower bound on the earliest cycle that may hold a ring entry;
         # advanced lazily while scanning, pulled back by posts.
         self._ring_next = 0
-        #: Clock advances of more than one cycle observed by ``drain``.
-        #: With spin fast-forward parking a core's events out of the
+        #: Clock advances of more than one cycle (see _advance).  With
+        #: spin fast-forward parking a core's events out of the
         #: queue, these jumps are the "global time-warp": the drain loop
         #: lands directly on the next pending cycle instead of walking
         #: dead buckets.  Diagnostic only — never part of summaries.
         self.warp_jumps = 0
-        # Post-cycle log used by the spin fast-forward observer: maps
-        # order -> cycle the entry was posted at.  None when recording
-        # is off (the common case; see begin_post_log).
-        self._post_log: Optional[dict] = None
-        self._post_log_refs = 0
+        # Posting-cycle index (see posted_cycle): every clock advance
+        # appends the cycle and the first order it may post, so each
+        # order's posting cycle is a bisect away.  Pruned to the ring
+        # horizon by _advance.
+        self._index_cycles = [0]
+        self._index_orders = [0]
+        # Spliced entry order -> its live twin's posting cycle.
+        self._spliced_posts: dict = {}
 
     def __len__(self) -> int:
         return (
@@ -267,35 +272,40 @@ class EventQueue:
     # pending entry was posted (to replay a parked core's events with
     # the exact order a live run would have produced), physically remove
     # a core's entries from the ring while it is parked, and splice them
-    # back at precise bucket positions on wakeup.  All of it is cold
-    # path — observation happens a handful of times per spin episode.
+    # back at precise bucket positions on wakeup.  The first is the
+    # always-on posting-cycle index, paid once per clock advance (never
+    # per post or per event); the rest is cold path, run a handful of
+    # times per spin episode.
 
-    def begin_post_log(self) -> dict:
-        """Start recording ``order -> posting cycle`` for every post.
+    def _advance(self, cycle: int) -> None:
+        """Move the clock to ``cycle`` (> now) and index the first order
+        it may post.  Records past the ring horizon can no longer belong
+        to a live ring entry and are dropped."""
+        if cycle > self.now + 1:
+            self.warp_jumps += 1
+        self.now = cycle
+        cycles = self._index_cycles
+        cycles.append(cycle)
+        self._index_orders.append(self._order)
+        if len(cycles) > 2 * RING_CYCLES:
+            floor = cycle - RING_CYCLES
+            cut = bisect_right(cycles, floor)
+            del cycles[:cut]
+            del self._index_orders[:cut]
+            if self._spliced_posts:
+                self._spliced_posts = {
+                    o: c for o, c in self._spliced_posts.items() if c > floor
+                }
 
-        Zero-cost when off: recording swaps ``self.__class__`` to a
-        subclass whose ``post``/``post1``/``schedule`` write the log and
-        delegate (``post_at`` routes through ``post`` and is covered;
-        ``call_soon`` entries carry no order and never survive past the
-        current cycle, so they are irrelevant to the log's consumers).
-        Nestable — multiple observers share one log; the swap reverts
-        when the last one calls :meth:`end_post_log`.
-        """
-        log = self._post_log
-        if log is None:
-            log = {}
-            self._post_log = log
-            self.__class__ = _RecordingEventQueue
-        self._post_log_refs += 1
-        return log
-
-    def end_post_log(self) -> None:
-        """Stop recording (reference-counted; see :meth:`begin_post_log`)."""
-        self._post_log_refs -= 1
-        if self._post_log_refs <= 0:
-            self._post_log = None
-            self._post_log_refs = 0
-            self.__class__ = EventQueue
+    def posted_cycle(self, order: int) -> int:
+        """The cycle at which the live ring entry with ``order`` was
+        posted (by ``post``/``post1``/``schedule``/``post_at``).  A
+        :meth:`splice_ring` entry reports the cycle its caller passed:
+        the posting cycle of the live twin it replays."""
+        cycle = self._spliced_posts.get(order)
+        if cycle is not None:
+            return cycle
+        return self._index_cycles[bisect_right(self._index_orders, order) - 1]
 
     def ring_cycle_of(self, bucket_index: int) -> int:
         """The in-flight cycle bucket ``bucket_index`` currently serves."""
@@ -362,14 +372,17 @@ class EventQueue:
         extracted.sort(key=lambda e: (e[0], e[1]))
         return extracted
 
-    def splice_ring(self, due: int, index: int, callback, arg) -> None:
+    def splice_ring(
+        self, due: int, index: int, callback, arg, posted: Optional[int] = None
+    ) -> None:
         """Insert an entry into ``due``'s bucket at live position ``index``.
 
         ``index`` counts from the bucket's current consume position;
         entries already consumed this cycle are unaffected.  The entry
         gets a fresh order counter — ring ordering is positional, so the
         order value only needs to be unique, and a fresh one keeps the
-        global counter monotonic.
+        global counter monotonic.  :meth:`posted_cycle` reports
+        ``posted`` for it when given, else the splice cycle.
         """
         if due < self.now:
             raise ValueError(f"cannot splice into the past (due={due})")
@@ -383,6 +396,8 @@ class EventQueue:
         if p > len(bucket):
             p = len(bucket)
         bucket.insert(p, (order, callback, arg, None))
+        if posted is not None:
+            self._spliced_posts[order] = posted
         self._ring_count += 1
         if due < self._ring_next:
             self._ring_next = due
@@ -455,20 +470,23 @@ class EventQueue:
                     cycle, _order, callback, arg, handle = heapq.heappop(heap)
                     if handle is not None and handle.cancelled:
                         continue
-                    self.now = cycle
+                    if cycle != self.now:
+                        self._advance(cycle)
                     callback() if arg is None else callback(arg)
                     return True
                 _order, callback, arg, handle = self._pop_ring(ring_cycle)
                 if handle is not None and handle.cancelled:
                     continue
-                self.now = ring_cycle
+                if ring_cycle != self.now:
+                    self._advance(ring_cycle)
                 callback() if arg is None else callback(arg)
                 return True
             if heap:
                 cycle, _order, callback, arg, handle = heapq.heappop(heap)
                 if handle is not None and handle.cancelled:
                     continue
-                self.now = cycle
+                if cycle != self.now:
+                    self._advance(cycle)
                 callback() if arg is None else callback(arg)
                 return True
             return False
@@ -529,9 +547,8 @@ class EventQueue:
                     cycle, _order, callback, arg, handle = heappop(heap)
                     if handle is not None and handle.cancelled:
                         continue
-                    if cycle > self.now + 1:
-                        self.warp_jumps += 1
-                    self.now = cycle
+                    if cycle != self.now:
+                        self._advance(cycle)
                     callback() if arg is None else callback(arg)
                 else:
                     p = pos[b]
@@ -546,17 +563,15 @@ class EventQueue:
                     _order, callback, arg, handle = entry
                     if handle is not None and handle.cancelled:
                         continue
-                    if ring_cycle > self.now + 1:
-                        self.warp_jumps += 1
-                    self.now = ring_cycle
+                    if ring_cycle != self.now:
+                        self._advance(ring_cycle)
                     callback() if arg is None else callback(arg)
             elif heap:
                 cycle, _order, callback, arg, handle = heappop(heap)
                 if handle is not None and handle.cancelled:
                     continue
-                if cycle > self.now + 1:
-                    self.warp_jumps += 1
-                self.now = cycle
+                if cycle != self.now:
+                    self._advance(cycle)
                 callback() if arg is None else callback(arg)
             else:
                 return 1
@@ -588,7 +603,8 @@ class EventQueue:
             cycle = heap[0][0]
         else:
             return None
-        self.now = cycle
+        if cycle != self.now:
+            self._advance(cycle)
         # Priority within the cycle: microtasks (always oldest — they
         # could only be registered while nothing else was pending at
         # now), then heap (posted >= RING_CYCLES earlier than any ring
@@ -653,7 +669,8 @@ class EventQueue:
                     _c, _order, callback, arg, handle = heapq.heappop(heap)
                     if handle is not None and handle.cancelled:
                         continue
-                    self.now = cycle
+                    if cycle != self.now:
+                        self._advance(cycle)
                     callback() if arg is None else callback(arg)
                     continue
                 if ring_cycle > limit_cycle:
@@ -661,7 +678,8 @@ class EventQueue:
                 _order, callback, arg, handle = self._pop_ring(ring_cycle)
                 if handle is not None and handle.cancelled:
                     continue
-                self.now = ring_cycle
+                if ring_cycle != self.now:
+                    self._advance(ring_cycle)
                 callback() if arg is None else callback(arg)
                 continue
             if heap:
@@ -671,34 +689,11 @@ class EventQueue:
                 _c, _order, callback, arg, handle = heapq.heappop(heap)
                 if handle is not None and handle.cancelled:
                     continue
-                self.now = cycle
+                if cycle != self.now:
+                    self._advance(cycle)
                 callback() if arg is None else callback(arg)
                 continue
             break
         if self.now < limit_cycle:
-            self.now = limit_cycle
+            self._advance(limit_cycle)
 
-
-class _RecordingEventQueue(EventQueue):
-    """EventQueue with the post-cycle log armed.
-
-    An :class:`EventQueue` becomes (and stops being) one of these by
-    plain ``__class__`` assignment — both classes have identical slot
-    layouts, so the swap is legal and costs nothing while recording is
-    off.  Only the posting entry points change; drain/run loops are
-    inherited untouched.
-    """
-
-    __slots__ = ()
-
-    def schedule(self, delay: int, callback: Callback) -> Event:
-        self._post_log[self._order] = self.now
-        return EventQueue.schedule(self, delay, callback)
-
-    def post(self, delay: int, callback: Callback) -> None:
-        self._post_log[self._order] = self.now
-        EventQueue.post(self, delay, callback)
-
-    def post1(self, delay: int, callback: Callable, arg) -> None:
-        self._post_log[self._order] = self.now
-        EventQueue.post1(self, delay, callback, arg)

@@ -20,24 +20,28 @@ This module removes that time *exactly*:
    (due-offset, callback, canonical arg) tuples.  If the identical
    signature recurs ``P`` cycles later, the loop is exactly periodic
    with period ``P``, and by determinism it will stay periodic until an
-   external message arrives.
+   external message arrives.  While waiting for the recurrence, a quick
+   key made only of fields the signature itself contains (pc, fetch
+   epoch, ROB length and head pc, commit gap, cache epochs, register
+   file) rejects most boundaries before any full capture, and the
+   capture checks the pending set before it walks the ROB.
 
 2. **Observe.**  Between the two matching signatures the engine diffs
    the core's stats scope, accounting attributes, commit trace and the
    event streams counted on its probe (``repro.uarch.probe``): the
    per-lap delta.  A lap that moves a probe stream other than
-   ``pipeline/*`` is not parked.  It then keeps verifying the
-   signature each lap with the event kernel's post-log recording
-   enabled until every pending entry owned by the core was *seen being
-   posted* — that pins each entry's posting cycle relative to the lap,
-   which the replay needs.
+   ``pipeline/*`` is not parked.  The first recurrence is enough: the
+   kernel's posting-cycle index (``EventQueue.posted_cycle``) knows when
+   each pending entry was posted, and one posted before the anchor must
+   show the posting latency of the lap's own posts of its instruction.
 
-3. **Park.**  The core's pending entries are physically removed from
-   the calendar ring (descriptors remember due-offset and post-offset),
-   an interconnect watch hook is registered for the core, and the core
-   goes silent: zero events, zero cost per skipped lap.  With every
-   spinning core parked, the event queue's drain loop lands directly on
-   the next real event — the global time-warp.
+3. **Park.**  At that first match the core's pending entries are
+   physically removed from the calendar ring (descriptors remember
+   due-offset and post-offset), an interconnect watch hook is
+   registered for the core, and the core goes silent: zero events,
+   zero cost per skipped lap.  With every spinning core parked, the
+   event queue's drain loop lands directly on the next real event —
+   the global time-warp.
 
 4. **Wake.**  Any message sent to the parked core fires the hook *at
    send time*.  The first send schedules an un-park at the next lap
@@ -53,8 +57,9 @@ This module removes that time *exactly*:
    timestamps and other now-anchored state shift by ``b - t0``, and the
    descriptors are spliced back into the ring at the positions the
    final lap's live run would have posted them (ordered against
-   in-flight deliveries by posting cycle).  Absolute-but-unobservable quantities (sequence
-   numbers, LRU stamp magnitudes) intentionally do not shift; relative
+   in-flight deliveries by posting cycle, and indexed at that cycle so
+   a later park replays them exactly too).  Absolute-but-unobservable
+   quantities (sequence numbers, LRU stamp magnitudes) do not shift; relative
    order — the only thing the simulation ever consults — is preserved.
 
 The observable result is byte-identical to the un-fast-forwarded run;
@@ -77,10 +82,10 @@ from repro.uarch.decode import KIDX_ALU, KIDX_BRANCH, KIDX_LOAD
 STREAK_MIN = 24
 #: Cycles to back off after a failed observation attempt.  Short:
 #: most failures are transient (a last in-flight fill draining, a
-#: prefetch landing) and the signature is cheap enough to retry.
+#: prefetch landing) and the signature is cheap enough to retry.  An
+#: attempt blocked only by an in-flight delivery to the core retries
+#: when that delivery lands instead.
 COOLDOWN_CYCLES = 64
-#: Laps of post-log coverage before giving up on an attempt.
-MAX_COVER_LAPS = 24
 #: Hard cap on the period the signature search will consider.  The
 #: wake-boundary guarantee additionally requires period <= network
 #: latency (see _on_send), enforced at match time.
@@ -105,8 +110,7 @@ _BAD = object()
 # Engine states.
 _IDLE = 0
 _MATCHING = 1
-_COVERING = 2
-_PARKED = 3
+_PARKED = 2
 
 
 class SpinFastForward:
@@ -116,10 +120,11 @@ class SpinFastForward:
         self.core = core
         self.queue = core.queue
         self.hierarchy = core.hierarchy
-        self._network = core.hierarchy._network
-        self._max_period = min(self._network.latency, MAX_PERIOD_CAP)
+        self._max_period = min(core.hierarchy._network.latency, MAX_PERIOD_CAP)
         self._state = _IDLE
         self._next_try_cycle = 0
+        #: Due cycle of the delivery that blocked the last capture.
+        self._retry_at: Optional[int] = None
         # Observation state.
         self._anchor: Optional[tuple] = None
         self._anchor_cycle = 0
@@ -128,8 +133,8 @@ class SpinFastForward:
         self._anchor_trace_len = 0
         self._anchor_streams: tuple = ()
         self._period = 0
-        self._cover_laps = 0
-        self._post_log: Optional[dict] = None
+        #: Order counter at the anchor (lower: posted before the lap).
+        self._anchor_order = 0
         # Per-lap deltas (filled when the period is found).
         self._counter_deltas: dict = {}
         self._hist_deltas: dict = {}
@@ -152,7 +157,7 @@ class SpinFastForward:
 
     @property
     def observing(self) -> bool:
-        return self._state in (_MATCHING, _COVERING)
+        return self._state == _MATCHING
 
     def on_commit_boundary(self) -> None:
         """Advance the state machine at the end of a commit tick.
@@ -161,20 +166,18 @@ class SpinFastForward:
         ``STREAK_MIN`` (the caller gates on the counter), so everything
         here is off the hot path of ordinary execution.
         """
-        state = self._state
-        queue = self.queue
-        now = queue.now
-        if state == _IDLE:
+        now = self.queue.now
+        if self._state == _IDLE:
             if now < self._next_try_cycle or not self._prefilter():
                 return
             self._wrapped = self._wrapped_callbacks()
-            sig = self._signature()
+            sig = self._signature(self._quick_key(now))
             if sig is None:
-                self._next_try_cycle = now + COOLDOWN_CYCLES
+                self.abort()
                 return
             self._anchor = sig
             self._anchor_cycle = now
-            self._post_log = self.queue.begin_post_log()
+            self._anchor_order = self.queue._order
             core = self.core
             self._anchor_snapshot = core.stats.snapshot_prefix(
                 core.stats._scope
@@ -191,76 +194,65 @@ class SpinFastForward:
             self._anchor_streams = probe.snapshot() if probe is not None else ()
             self._state = _MATCHING
             return
-        if state == _MATCHING:
-            elapsed = now - self._anchor_cycle
-            if elapsed > self._max_period:
-                self.abort()
-                return
-            sig = self._signature()
-            if sig is None:
-                self.abort()
-                return
-            if sig != self._anchor:
-                return
-            # Exact period found: the first recurrence of the complete
-            # relative state.  Capture the one-lap deltas.
-            core = self.core
-            probe = core.probe
-            if probe is not None:
-                deltas = probe.lap_delta(self._anchor_streams)
-                if deltas is None:
-                    # The lap emits events a count replay cannot restore.
-                    self.abort()
-                    return
-                self._stream_deltas = deltas
-            self._period = elapsed
-            from repro.common.stats import diff_prefix_snapshots
-
-            after = core.stats.snapshot_prefix(core.stats._scope)
-            self._counter_deltas, self._hist_deltas = diff_prefix_snapshots(
-                self._anchor_snapshot, after
-            )
-            a = self._anchor_attrs
-            self._attr_deltas = (
-                core.active_cycles - a[0],
-                core.quiescent_cycles - a[1],
-                core.predictor.lookups - a[2],
-                core.predictor.mispredicts - a[3],
-            )
-            trace = core.commit_trace
-            self._lap_tape = (
-                list(trace[self._anchor_trace_len:])
-                if trace is not None
-                else []
-            )
-            self._anchor_cycle = now
-            self._anchor_snapshot = None
-            self._cover_laps = 0
-            self._state = _COVERING
+        elapsed = now - self._anchor_cycle
+        if elapsed > self._max_period:
+            self.abort()
             return
-        if state == _COVERING:
-            if (now - self._anchor_cycle) % self._period:
-                return
-            plan: list = []
-            sig = self._signature(plan)
-            if sig is None or sig != self._anchor:
+        key = self._quick_key(now)
+        if key != self._anchor[0]:
+            # The signature starts with this key: no match possible.
+            return
+        plan: list = []
+        sig = self._signature(key, plan)
+        matched = sig == self._anchor
+        if sig is None or (matched and not self._post_offsets_periodic(plan)):
+            self.abort()
+            return
+        if not matched:
+            return
+        # Exact period found: the first recurrence of the complete
+        # relative state.  Capture the one-lap deltas and park.
+        core = self.core
+        probe = core.probe
+        if probe is not None:
+            deltas = probe.lap_delta(self._anchor_streams)
+            if deltas is None:
+                # The lap emits events a count replay cannot restore.
                 self.abort()
                 return
-            self._cover_laps += 1
-            if self._cover_laps > MAX_COVER_LAPS:
-                self.abort()
-                return
-            self._try_park(now, plan)
+            self._stream_deltas = deltas
+        self._period = elapsed
+        from repro.common.stats import diff_prefix_snapshots
+
+        after = core.stats.snapshot_prefix(core.stats._scope)
+        self._counter_deltas, self._hist_deltas = diff_prefix_snapshots(
+            self._anchor_snapshot, after
+        )
+        a = self._anchor_attrs
+        self._attr_deltas = (
+            core.active_cycles - a[0],
+            core.quiescent_cycles - a[1],
+            core.predictor.lookups - a[2],
+            core.predictor.mispredicts - a[3],
+        )
+        trace = core.commit_trace
+        self._lap_tape = (
+            [] if trace is None else list(trace[self._anchor_trace_len:])
+        )
+        self._park(now, plan)
 
     def abort(self) -> None:
-        """Drop the current observation and back off."""
-        if self._post_log is not None:
-            self.queue.end_post_log()
-            self._post_log = None
+        """Drop the current observation and back off: until the
+        in-flight delivery that blocked the last capture lands, else for
+        ``COOLDOWN_CYCLES``."""
+        retry = self._retry_at
+        self._retry_at = None
         self._anchor = None
         self._anchor_snapshot = None
         self._state = _IDLE
-        self._next_try_cycle = self.queue.now + COOLDOWN_CYCLES
+        self._next_try_cycle = (
+            retry if retry is not None else self.queue.now + COOLDOWN_CYCLES
+        )
 
     # ------------------------------------------------------------------
     # signature capture
@@ -285,15 +277,41 @@ class SpinFastForward:
                 has_spin = True
         return has_spin
 
-    def _signature(self, plan: Optional[list] = None) -> Optional[tuple]:
-        """Complete relative signature of the core's state, or None when
-        the state is not parkable (in-flight memory traffic, non-clean
-        ROB content, unknown pending-event shapes, ...).
+    def _quick_key(self, now: int) -> tuple:
+        """The head of the signature: cheap fields that move on almost
+        every commit of a spin lap, so a differing key rules a match out.
+        The cache epochs prove memory-side identity in O(1): they advance
+        on every placement/removal, recency-*order* change or MESI
+        transition, so equal epochs at two boundaries mean identical
+        L1/L2 arrays, replacement order and coherence states.  Their
+        absolute values never leak into behaviour."""
+        core = self.core
+        hierarchy = self.hierarchy
+        rob = core._rob_entries
+        return (
+            core.pc,
+            core._fetch_epoch,
+            len(rob),
+            rob[0].pc if rob else -1,
+            now - core._last_commit_cycle,
+            hierarchy.state_epoch,
+            hierarchy._l1.mut_epoch,
+            hierarchy._l1._replacement.rank_epoch,
+            hierarchy._l2.mut_epoch,
+            hierarchy._l2._replacement.rank_epoch,
+            tuple(core.rename.regfile),
+        )
 
-        ``plan``, when given, is filled with the live pending entries
-        exactly as :meth:`_scan_pending` does — the covering loop hands
-        the same scan to :meth:`_try_park` so each lap walks the event
-        ring once, not twice."""
+    def _signature(
+        self, key: tuple, plan: Optional[list] = None
+    ) -> Optional[tuple]:
+        """Complete relative signature of the core's state, headed by
+        its quick ``key``, or None when the state is not parkable
+        (in-flight memory traffic, non-clean ROB content, unknown
+        pending-event shapes, ...).
+
+        ``plan``, when given, is filled by :meth:`_scan_pending`, so a
+        matching capture hands its own scan to :meth:`_park`."""
         core = self.core
         if core.halted or core.finished or core.parked:
             return None
@@ -316,13 +334,14 @@ class SpinFastForward:
         # default threshold (10k cycles) often exceeds short runs, so a
         # check armed by a core's first atomic would otherwise disable
         # fast-forward on that core for the rest of the run.
-        hierarchy = self.hierarchy
-        if not hierarchy.can_park():
+        if not self.hierarchy.can_park():
             return None
-        queue = self.queue
-        now = queue.now
+        now = self.queue.now
         entries = list(core._rob_entries)
         base = entries[0].seq if entries else core.next_seq
+        pending = self._scan_pending(base, plan)
+        if pending is None:
+            return None
         index_of = {id(e): i for i, e in enumerate(entries)}
 
         def ref(instr) -> object:
@@ -367,28 +386,7 @@ class SpinFastForward:
                 rel(e.perform_cycle),
             ))
 
-        pending = self._scan_pending(base, plan)
-        if pending is None:
-            return None
-
         bw = core.issue_bw
-        # O(1) proof of memory-side identity between laps: the epochs
-        # advance on every placement/removal, recency-*order* change, or
-        # MESI transition, so equal epoch tuples at two boundaries mean
-        # the L1/L2 arrays, their replacement order, and the coherence
-        # states are all bit-identical at those boundaries.  (A loop
-        # re-touching its already-MRU lines keeps every epoch still.)
-        # Absolute counter values never leak into behaviour — they are
-        # only compared for equality within one attempt.
-        l1 = hierarchy._l1
-        l2 = hierarchy._l2
-        caches = (
-            hierarchy.state_epoch,
-            l1.mut_epoch,
-            l1._replacement.rank_epoch,
-            l2.mut_epoch,
-            l2._replacement.rank_epoch,
-        )
         prefetch = core.prefetcher
         prefetch_sig = (
             tuple(
@@ -402,13 +400,10 @@ class SpinFastForward:
         )
         storeset = core.storeset
         return (
-            core.pc,
-            core._fetch_epoch,
+            key,
             core._dispatch_blocked,
             core._fetch_scheduled,
             core._commit_scheduled,
-            now - core._last_commit_cycle,
-            tuple(core.rename.regfile),
             tuple(ref(p) for p in core.rename._producer),
             tuple(rob_sig),
             tuple(e.seq - base for e in core.lq),
@@ -417,7 +412,6 @@ class SpinFastForward:
             tuple(sorted(storeset._ssit.items())),
             tuple(sorted((k, ref(v)) for k, v in storeset._lfst.items())),
             prefetch_sig,
-            caches,
             pending,
         )
 
@@ -462,7 +456,8 @@ class SpinFastForward:
         arg)`` entries for extraction.  None when the pending set makes
         parking illegal: a cancellable handle on an owned entry, an
         uncanonicalizable argument, an owned heap entry, a pending
-        microtask, or an in-flight delivery targeting this core."""
+        microtask, or an in-flight delivery targeting this core (whose
+        due cycle :meth:`abort` then retries at)."""
         queue = self.queue
         if queue.micro_pending():
             return None
@@ -489,41 +484,52 @@ class SpinFastForward:
                 if plan is not None:
                     plan.append((due, order, callback, arg))
             elif self._targets_core(arg):
+                self._retry_at = due
                 return None
         for due, order, callback, arg, handle in queue.iter_heap():
             owner = getattr(callback, "__self__", None)
             if owner is core or owner is hierarchy or callback in wrapped:
                 return None
             if self._targets_core(arg):
+                self._retry_at = due
                 return None
         return tuple(canon)
 
     # ------------------------------------------------------------------
     # park
 
-    def _try_park(self, now: int, plan: list) -> bool:
+    def _post_offsets_periodic(self, plan: list) -> bool:
+        """Whether the replay may reuse every pending entry's post
+        offset.  An entry posted during the observed lap recurs each lap
+        at the same offsets.  One posted before the anchor recurs as the
+        replica of an in-lap post of the same callback and instruction,
+        so its posting latency must be the one those posts show."""
+        posted_cycle = self.queue.posted_cycle
+        in_lap: dict = {}
+        early = []
+        for due, order, callback, arg in plan:
+            # Laps repeat an instruction's events under a new seq.
+            key = (callback, getattr(arg, "pc", arg))
+            latency = due - posted_cycle(order)
+            if order < self._anchor_order:
+                early.append((key, latency))
+            else:
+                in_lap.setdefault(key, set()).add(latency)
+        return all(in_lap.get(key) == {latency} for key, latency in early)
+
+    def _park(self, now: int, plan: list) -> None:
         core = self.core
         entries = core._rob_entries
-        log = self._post_log
-        assert log is not None
-        for _due, order, _cb, _arg in plan:
-            if order not in log:
-                # Not every pending entry's posting cycle is known yet
-                # (long-latency ops posted before recording started);
-                # keep observing — the log catches up within a few laps.
-                return False
-        period = self._period
-        if period > self._network.latency:
-            # Wake-boundary guarantee needs transit >= period.
-            self.abort()
-            return False
-        # Build replay descriptors: where each entry sits relative to
-        # the park boundary, and how long before its due cycle the live
-        # run posted it (the splice rule orders replays against
-        # in-flight deliveries by posting cycle).
-        descriptors = []
-        for due, order, callback, arg in plan:
-            descriptors.append((due - now, now - log[order], callback, arg))
+        # Replay descriptors: where each entry sits relative to the park
+        # boundary, and how long before its due cycle the live run
+        # posted it (the splice rule orders replays against in-flight
+        # deliveries by posting cycle).  The period is within the
+        # network latency (_max_period), as the wake boundary requires.
+        posted_cycle = self.queue.posted_cycle
+        descriptors = [
+            (due - now, now - posted_cycle(order), callback, arg)
+            for due, order, callback, arg in plan
+        ]
         wrapped = self._wrapped
         extracted = self.queue.extract_ring(
             lambda cb, a, c=core, h=self.hierarchy: (
@@ -533,8 +539,6 @@ class SpinFastForward:
             )
         )
         assert len(extracted) == len(plan)
-        self.queue.end_post_log()
-        self._post_log = None
         self._descriptors = descriptors
         self._parked_at = now
         self._wake_at = None
@@ -547,10 +551,10 @@ class SpinFastForward:
         core.ff_parks += 1
         self._state = _PARKED
         self._anchor = None
+        self._anchor_snapshot = None
         probe = core.probe
         if probe is not None and probe.park is not None:
-            probe.park(now, period, watched)
-        return True
+            probe.park(now, self._period, watched)
 
     # ------------------------------------------------------------------
     # wake
@@ -643,7 +647,7 @@ class SpinFastForward:
                     break
             if index is None:
                 index = len(queue.bucket_live_entries(due))
-            queue.splice_ring(due, index, callback, arg)
+            queue.splice_ring(due, index, callback, arg, replay_posted)
         core.spin_cycles_skipped += skipped
         core.parked = False
         self._descriptors = []

@@ -15,7 +15,7 @@ around the deadlock watchdog:
 
 from __future__ import annotations
 
-from repro.common.events import EventQueue
+from repro.common.events import RING_CYCLES, EventQueue
 from repro.common.stats import StatsRegistry
 from repro.core.atomic_queue import AtomicQueue
 from repro.core.watchdog import DeadlockWatchdog
@@ -159,18 +159,82 @@ class TestParkPrimitives:
             pass
         assert hits == ["x", "y", "z"]
 
-    def test_post_log_records_posting_cycles(self):
-        queue = EventQueue()
-        log = queue.begin_post_log()
-        before = len(log)
+    @staticmethod
+    def _posted_by_callback(queue: EventQueue) -> dict:
+        return {
+            cb: queue.posted_cycle(order)
+            for _due, order, cb, _arg, _handle in queue.iter_ring()
+        }
 
-        def noop() -> None:
+    def test_posting_cycle_index_covers_every_post_entry_point(self):
+        queue = EventQueue()
+        expected = {}
+
+        def post_all() -> None:
+            # Four long-lived entries, one per posting entry point.
+            cbs = [lambda *_args, i=i: None for i in range(4)]
+            queue.post(200, cbs[0])
+            queue.post1(150, cbs[1], "arg")
+            queue.schedule(100, cbs[2])
+            queue.post_at(queue.now + 180, cbs[3])
+            for cb in cbs:
+                expected[cb] = queue.now
+
+        post_all()
+        queue.post(3, post_all)
+        queue.post(4, lambda: None)
+        # Drain warps 0 -> 3 and 4 -> 40 over the empty cycles.
+        counter = [1]
+
+        def at_40() -> None:
+            post_all()
+            counter[0] = 0
+
+        queue.post(40, at_40)
+        assert queue.drain(counter, 1000) == 0
+        assert queue.now == 40
+        assert queue.warp_jumps == 2
+        assert self._posted_by_callback(queue) == expected
+        assert sorted(set(expected.values())) == [0, 3, 40]
+
+    def test_posting_cycle_index_is_pruned_to_the_ring_horizon(self):
+        queue = EventQueue()
+        late = []
+
+        def tick() -> None:
+            if queue.now == 590:
+                late.append(lambda: None)
+                queue.post(RING_CYCLES - 1, late[0])
+            if queue.now < 3 * RING_CYCLES:
+                queue.post(1, tick)
+
+        queue.post(1, tick)
+        queue.run_until(590 + RING_CYCLES - 2)
+        # One record per clock advance, bounded by the horizon.
+        assert len(queue._index_cycles) <= 2 * RING_CYCLES
+        assert queue._index_cycles[0] > 590 - RING_CYCLES
+        assert self._posted_by_callback(queue)[late[0]] == 590
+
+    def test_spliced_entry_reports_its_live_twins_posting_cycle(self):
+        queue = EventQueue()
+
+        def parked() -> None:
             pass
 
-        queue.post(7, noop)
-        queue.post1(3, lambda arg: None, 42)
-        assert len(log) == before + 2
-        assert set(log.values()) == {queue.now}
-        queue.end_post_log()
-        queue.post(2, noop)  # no longer recorded
-        assert len(log) == before + 2
+        def live() -> None:
+            pass
+
+        queue.post(60, parked)
+        queue.run_until(20)
+        (extracted,) = queue.extract_ring(lambda cb, arg: cb is parked)
+        queue.post(30, live)  # posted at 20, due 50
+        queue.run_until(45)
+        # Un-park at 45: the live twin would have been posted at 25.
+        queue.splice_ring(50, 0, parked, None, 25)
+        queue.splice_ring(50, 2, live, None)
+        posted = [
+            (cb, queue.posted_cycle(order))
+            for _due, order, cb, _arg, _handle in queue.iter_ring()
+        ]
+        assert extracted[0] == 60
+        assert posted == [(parked, 25), (live, 20), (live, 45)]

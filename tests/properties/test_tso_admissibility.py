@@ -88,3 +88,53 @@ def test_traces_admissible_under_tso(policy, spec0, spec1, skew):
         f"  core1: {result.traces[1]}\n"
         f"  final: {final}"
     )
+
+
+#: A counterexample the property above found and then lost again (random
+#: draws usually miss it).  Core 0 stores X=1, then its RMW on Y (which
+#: drains the store buffer) writes Y=100.  Core 1's RMW on X wrote X=100
+#: before that store, since the final X is 1.  Core 1 then reads Y=100 and
+#: afterwards reads X=100: under TSO X=1 was visible before Y=100, so
+#: that last load must return 1.  Replayed trace (free, free+fwd and
+#: versioned; both simulator legs):
+#:
+#:   core0: store X=1; rmw Y 0->100; load Y=100
+#:   core1: rmw X 0->100; load Y=100; load Y=100; load X=100
+#:   final: X=1, Y=100
+COUNTEREXAMPLE = (
+    [("store", LOCATIONS[1]), ("rmw", LOCATIONS[0]), ("load", LOCATIONS[0])],
+    [
+        ("rmw", LOCATIONS[1]),
+        ("load", LOCATIONS[0]),
+        ("load", LOCATIONS[0]),
+        ("load", LOCATIONS[1]),
+    ],
+)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="free atomics let a load read a stale X (ROADMAP)"
+)
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "nofastpath"])
+@pytest.mark.parametrize(
+    "policy",
+    [p for p in ALL_POLICIES if p.name in ("free", "free+fwd", "versioned")],
+    ids=lambda p: p.name,
+)
+def test_pinned_counterexample_admissible_under_tso(
+    policy, fastpath, monkeypatch
+):
+    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    if not fastpath:
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+    programs = [build_program(t, s) for t, s in enumerate(COUNTEREXAMPLE)]
+    result = run_workload(
+        Workload("tso_counterexample", programs),
+        policy=policy,
+        config=small_system_config(2, watchdog_cycles=400),
+        trace=True,
+    )
+    final = {addr: result.read_word(addr) for addr in LOCATIONS}
+    assert final == {LOCATIONS[0]: 100, LOCATIONS[1]: 1}
+    outcome = TsoChecker().admissible(result.traces, final_memory=final)
+    assert outcome.admissible, f"core1: {result.traces[1]}"

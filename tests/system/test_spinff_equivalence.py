@@ -97,6 +97,24 @@ def test_barrier_kernels_identical(bench_name, monkeypatch):
     )
 
 
+def test_paper_width_as_identical_engine_off(monkeypatch):
+    """32-thread AS, the point whose park count moves most with the
+    detector: the engine on against only it off.  50 instructions is
+    the generator's floor; the run length comes from 32-way lock
+    contention, so the engine-off leg still simulates ~0.8 M spin
+    cycles (about 90 s on a 2-core host)."""
+    workload = paper_width_workload("AS", 50)
+    config = icelake_config(num_cores=PAPER_WIDTH)
+    fast = _run(workload, config, monkeypatch, "fast")
+    assert fast.fastforward["parks"] > 0, "fast leg never parked: dead test"
+    nospinff = _run(workload, config, monkeypatch, "nospinff")
+    assert nospinff.fastforward["parks"] == 0
+    assert (
+        fast.summary().canonical_json()
+        == nospinff.summary().canonical_json()
+    )
+
+
 def test_paper_width_obs_attached_identical(monkeypatch):
     """Obs-attached A/B at 32 threads: parking must not eat events.
 
