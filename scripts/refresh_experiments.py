@@ -28,7 +28,7 @@ def regenerate(jobs: int | None) -> None:
     """Recompute the figure/table archives via the parallel engine."""
     sys.path.insert(0, str(ROOT / "src"))
     from repro.analysis.calibration import calibration_rows
-    from repro.analysis.engine import harness_points, prefetch
+    from repro.analysis.engine import disk_hits, harness_points, prefetch
     from repro.analysis.figures import (
         figure1_rows,
         figure12_rows,
@@ -40,10 +40,13 @@ def regenerate(jobs: int | None) -> None:
     from repro.analysis.tables import table2_rows
 
     scale = ExperimentScale.from_env()
-    resolved = prefetch(
-        harness_points(scale, include_ablations=False), jobs=jobs
+    points = harness_points(scale, include_ablations=False)
+    hits = disk_hits(points)
+    simulated = prefetch(points, jobs=jobs)
+    print(
+        f"[simulated {len(simulated)} point(s), "
+        f"{len(hits)} disk-cache hit(s)]"
     )
-    print(f"[resolved {len(resolved)} uncached simulation point(s)]")
     archives = {
         "calibration_schweizer": calibration_rows,
         "figure01_atomic_cost": figure1_rows,

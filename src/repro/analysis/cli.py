@@ -25,7 +25,11 @@ import pathlib
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.calibration import calibration_rows
-from repro.analysis.engine import resolve_jobs, run_experiments_prefetch
+from repro.analysis.engine import (
+    effective_jobs,
+    resolve_jobs,
+    run_experiments_prefetch,
+)
 from repro.analysis.figures import (
     figure1_rows,
     figure12_rows,
@@ -303,11 +307,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     jobs = resolve_jobs(args.jobs)
     if jobs > 1:
-        count = run_experiments_prefetch(
+        simulated, hits = run_experiments_prefetch(
             names, scale, benchmarks=args.benchmarks, jobs=jobs
         )
-        if count:
-            print(f"[resolved {count} simulation point(s) with {jobs} workers]")
+        if simulated or hits:
+            print(
+                f"[simulated {simulated} point(s) with "
+                f"{effective_jobs(jobs, simulated)} worker(s), "
+                f"{hits} disk-cache hit(s)]"
+            )
     for name in names:
         run_experiment(name, scale, args.benchmarks, args.json_dir)
     return 0

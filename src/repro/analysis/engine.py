@@ -4,11 +4,14 @@ Every paper figure/table decomposes into independent, deterministic
 (benchmark, policy, scale, preset) simulation points — the event queue
 ties-breaks by insertion order, so a point's result is identical no
 matter which process runs it.  The engine exploits that: it enumerates
-the points an experiment needs, fans the *missing* ones across a
-``ProcessPoolExecutor``, and deposits each worker's picklable
-:class:`~repro.system.summary.ResultSummary` into the in-process memo
-(and, via the workers, the persistent disk cache).  The figure/table row
-code then runs unchanged — every ``run_benchmark`` call is a memo hit.
+the points an experiment needs, reads the ones already in the persistent
+disk cache in the calling process, and fans only the remaining misses
+across a ``ProcessPoolExecutor``.  The parent reads, the pool simulates:
+a warm sweep starts no worker.  Every resolved
+:class:`~repro.system.summary.ResultSummary` lands in the in-process
+memo; the workers also write their summaries to the disk cache.  The
+figure/table row code then runs unchanged — every ``run_benchmark``
+call is a memo hit.
 
 Worker count resolution (first match wins):
 
@@ -69,17 +72,20 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def effective_jobs(jobs: Optional[int], num_points: int) -> int:
-    """The worker count :func:`prefetch` actually uses for a sweep.
+def effective_jobs(jobs: Optional[int], num_simulated: int) -> int:
+    """The worker count :func:`prefetch` used to simulate ``num_simulated``.
 
-    Mirrors prefetch's sizing: serial for 0/1 pending points, otherwise
-    capped at the pending count — so harness records reflect what ran,
-    not just what was requested.
+    Mirrors prefetch's sizing, which only the disk misses reach: none
+    for no simulated point (every point was a hit), serial for one,
+    otherwise capped at the simulated count — so harness records
+    reflect what ran, not just what was requested.
     """
+    if num_simulated <= 0:
+        return 0
     resolved = resolve_jobs(jobs)
-    if resolved <= 1 or num_points <= 1:
+    if resolved <= 1 or num_simulated <= 1:
         return 1
-    return min(resolved, num_points)
+    return min(resolved, num_simulated)
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +206,25 @@ def harness_points(
 # ----------------------------------------------------------------------
 # Parallel resolution
 
+def disk_hits(points: Iterable[Point]) -> dict[Point, ResultSummary]:
+    """Read the not-yet-memoized ``points`` that hit in the disk cache.
+
+    Runs in the calling process and never simulates.  Each hit is
+    memoized; misses (absent, corrupt or old-schema entries, or every
+    point under ``REPRO_CACHE=off``) are left for simulation.
+    """
+    hits: dict[Point, ResultSummary] = {}
+    for point in dict.fromkeys(points):
+        if _runner.memoized(*point) is None:
+            summary = _runner.disk_summary(*point)
+            if summary is not None:
+                _runner.memoize(*point, summary=summary)
+                hits[point] = summary
+    return hits
+
+
 def _run_point(point: Point) -> tuple[Point, ResultSummary]:
-    """Worker entry: resolve one point (consults the disk cache too)."""
+    """Worker entry: resolve one point (rechecks the disk cache too)."""
     benchmark, policy_name, scale, preset = point
     summary = run_benchmark(
         benchmark, policy_by_name(policy_name), scale, core_preset=preset
@@ -260,15 +283,18 @@ def prefetch(
     *,
     pool_rebuilds: int = POOL_REBUILD_LIMIT,
 ) -> dict[Point, ResultSummary]:
-    """Resolve ``points`` with up to ``jobs`` worker processes.
+    """Resolve ``points``: disk hits here, misses on ``jobs`` workers.
 
-    Already-memoized points are skipped; the rest are resolved (disk
-    cache first, simulation otherwise) and deposited into the
-    in-process memo, so subsequent ``run_benchmark`` calls are hits.
-    The serial path is :func:`run_batch`; with multiple workers, each
-    worker process applies the same GC tuning once at startup and runs
-    its share of points as an in-process batch of its own.
-    Returns the summaries of the points that were actually resolved.
+    Already-memoized points are skipped.  The rest are first looked up
+    in the disk cache by this process (:func:`disk_hits`); only the
+    misses are simulated, so an all-hit pass builds no worker pool.
+    Every resolved summary is deposited into the in-process memo, so
+    subsequent ``run_benchmark`` calls are hits.  The serial path is
+    :func:`run_batch`; with several misses and workers, the pool is
+    sized to the misses, and each worker applies the same GC tuning
+    once at startup and runs its share of points as an in-process batch
+    of its own.  Returns the summaries of the points that were actually
+    resolved, disk hits included.
 
     A crashed worker (OOM kill, SIGKILL, segfault) breaks the whole
     ``ProcessPoolExecutor`` — every in-flight future, not just the
@@ -277,14 +303,17 @@ def prefetch(
     ``pool_rebuilds`` times, and only the unfinished points are
     resubmitted.  If the budget runs out with points still unresolved,
     :class:`~repro.common.errors.PartialSweepError` surfaces the
-    completed summaries and lists the failed points.
+    completed summaries (disk hits included) and lists the failed
+    points.
     """
-    pending = [p for p in dict.fromkeys(points) if _runner.memoized(*p) is None]
+    points = list(dict.fromkeys(points))
+    hits = disk_hits(points)
+    misses = [p for p in points if _runner.memoized(*p) is None]
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(pending) <= 1:
-        return run_batch(pending)
-    resolved: dict[Point, ResultSummary] = {}
-    remaining = list(pending)
+    if jobs <= 1 or len(misses) <= 1:
+        return {**hits, **run_batch(misses)}
+    resolved: dict[Point, ResultSummary] = dict(hits)
+    remaining = misses
     rebuilds_left = pool_rebuilds
     while remaining:
         broke = False
@@ -314,7 +343,8 @@ def prefetch(
         if rebuilds_left <= 0:
             raise PartialSweepError(
                 f"worker pool broke {1 + pool_rebuilds} time(s); "
-                f"{len(resolved)}/{len(pending)} points completed, "
+                f"{len(resolved)}/{len(hits) + len(misses)} points completed "
+                f"({len(hits)} from the disk cache), "
                 f"unresolved: {[(p[0], p[1]) for p in remaining]}",
                 completed=resolved,
                 failed=remaining,
@@ -329,10 +359,15 @@ def run_experiments_prefetch(
     scale: ExperimentScale,
     benchmarks: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-) -> int:
-    """Prefetch every point the listed experiments need; returns count."""
+) -> tuple[int, int]:
+    """Prefetch every point the listed experiments need.
+
+    Returns ``(simulated, disk_hits)``: how many points were simulated
+    and how many were read back from the disk cache.
+    """
     points: list[Point] = []
     for experiment in experiments:
         if experiment in _EXPERIMENT_POLICIES:
             points.extend(experiment_points(experiment, scale, benchmarks))
-    return len(prefetch(points, jobs=jobs))
+    hits = disk_hits(points)
+    return len(prefetch(points, jobs=jobs)), len(hits)

@@ -231,6 +231,25 @@ def _summary_from_disk(disk: ResultCache, disk_key: str) -> ResultSummary | None
         return None  # corrupt/old entry: caller falls through and re-runs
 
 
+def disk_summary(
+    benchmark: str,
+    policy_name: str,
+    scale: ExperimentScale,
+    core_preset: str = "icelake",
+) -> ResultSummary | None:
+    """The point's disk-cache entry, or None; never simulates.
+
+    A miss, a corrupt or old-schema entry, and a disabled disk cache
+    (``REPRO_CACHE=off``) all read as None.  The result memo is not
+    touched: memoizing a hit is the caller's choice.
+    """
+    if not cache_enabled():
+        return None
+    _, digest = bench_config_and_digest(scale, core_preset)
+    disk_key = disk_cache_key(benchmark, policy_name, scale, core_preset, digest)
+    return _summary_from_disk(ResultCache(), disk_key)
+
+
 def run_benchmark(
     benchmark: str,
     policy: AtomicPolicy,

@@ -104,6 +104,30 @@ def test_prefetch_exhausted_budget_surfaces_partial_result(monkeypatch):
         assert memoized(*point) is not None
 
 
+def test_partial_result_includes_disk_hits(monkeypatch, tmp_path):
+    """Hits read before the pool count as completed, never as failed."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    seed = int.from_bytes(os.urandom(2), "big")
+    points = _points(seed)
+    on_disk = [p for p in points if p[0] in ("watersp", "CQ")]
+    prefetch(on_disk, jobs=1)
+    clear_cache()
+    monkeypatch.setattr(engine, "_run_point", _crash_always_run_point)
+    with pytest.raises(PartialSweepError) as excinfo:
+        prefetch(points, jobs=2, pool_rebuilds=1)
+    error = excinfo.value
+    assert set(on_disk) <= set(error.completed)
+    pool_points = [p for p in points if p not in on_disk]
+    assert set(error.failed) <= set(pool_points)
+    assert ("AS", FREE_ATOMICS_FWD.name) in [(p[0], p[1]) for p in error.failed]
+    assert set(error.completed).isdisjoint(error.failed)
+    assert len(error.completed) + len(error.failed) == len(points)
+    assert (
+        f"{len(error.completed)}/{len(points)} points completed "
+        f"({len(on_disk)} from the disk cache)"
+    ) in str(error)
+
+
 def test_serial_prefetch_unaffected():
     seed = int.from_bytes(os.urandom(2), "big")
     scale = ExperimentScale(num_threads=2, instructions_per_thread=100, seed=seed)

@@ -7,14 +7,18 @@ cache must yield byte-identical ResultSummary JSON.
 
 import gc
 import io
+import multiprocessing
+import os
 import pickle
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
+from repro.analysis import engine, runner
 from repro.analysis.engine import (
     JOBS_ENV,
     batch_gc_tuning,
+    disk_hits,
     effective_jobs,
     experiment_points,
     harness_points,
@@ -29,6 +33,7 @@ from repro.analysis.runner import (
     memoized,
     run_benchmark,
 )
+from repro.common.cache import ResultCache
 from repro.common.errors import ConfigError
 from repro.core.policy import ALL_POLICIES, BASELINE, FREE_ATOMICS_FWD
 
@@ -80,6 +85,9 @@ class TestEffectiveJobs:
     def test_serial_request_stays_serial(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
         assert effective_jobs(None, 12) == 1
+
+    def test_no_worker_when_nothing_simulated(self):
+        assert effective_jobs(8, 0) == 0
 
 
 class TestBatchRunner:
@@ -160,6 +168,110 @@ class TestPrefetch:
         resolved = prefetch([POINT, other], jobs=2)
         assert set(resolved) == {POINT, other}
         assert memoized(*other) is not None
+
+
+OTHERS = [
+    (name, FREE_ATOMICS_FWD.name, SCALE, "icelake")
+    for name in ("watersp", "CQ", "TATP")
+]
+
+_original_run_point = engine._run_point
+
+
+def _recording_run_point(point):
+    """Log each simulated point with the pid that ran it, then run it."""
+    with open(os.environ["REPRO_TEST_SUBMITTED"], "a") as log:
+        log.write(f"{point[0]} {os.getpid()}\n")
+    return _original_run_point(point)
+
+
+def _submitted() -> list[tuple[str, int]]:
+    path = os.environ["REPRO_TEST_SUBMITTED"]
+    if not os.path.exists(path):
+        return []
+    with open(path) as log:
+        return [(name, int(pid)) for name, pid in map(str.split, log)]
+
+
+def _entry_path(point):
+    benchmark, policy, scale, preset = point
+    _, digest = runner.bench_config_and_digest(scale, preset)
+    return ResultCache().path_for(
+        runner.disk_cache_key(benchmark, policy, scale, preset, digest)
+    )
+
+
+class TestParentReadsPoolSimulates:
+    """Disk hits are read in the calling process; only misses are simulated."""
+
+    @pytest.fixture(autouse=True)
+    def _own_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_TEST_SUBMITTED", str(tmp_path / "submitted"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+
+    def test_all_hit_prefetch_builds_no_pool(self, monkeypatch):
+        points = [POINT, *OTHERS[:1]]
+        written = {p: s.canonical_json() for p, s in prefetch(points, jobs=2).items()}
+        clear_cache()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an all-hit prefetch built a worker pool")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        resolved = prefetch(points, jobs=2)
+        assert set(resolved) == set(points)
+        for point in points:
+            assert memoized(*point) is resolved[point]
+            assert resolved[point].canonical_json() == written[point]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the recording worker relies on fork inheritance",
+    )
+    def test_mixed_prefetch_sends_only_misses_to_workers(self, monkeypatch):
+        hits = [POINT, OTHERS[0]]
+        misses = OTHERS[1:]
+        run_batch(hits)
+        clear_cache()
+        monkeypatch.setattr(engine, "_run_point", _recording_run_point)
+        resolved = prefetch([*hits, *misses], jobs=2)
+        assert set(resolved) == {*hits, *misses}
+        submitted = _submitted()
+        assert sorted(name for name, _ in submitted) == sorted(p[0] for p in misses)
+        assert all(pid != os.getpid() for _, pid in submitted)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the recording worker relies on fork inheritance",
+    )
+    def test_truncated_entry_is_resimulated_by_a_worker(self, monkeypatch):
+        torn, intact = POINT, OTHERS[0]
+        good = run_batch([torn, intact])[torn].canonical_json()
+        clear_cache()
+        path = _entry_path(torn)
+        path.write_text(path.read_text()[:40])
+        monkeypatch.setattr(engine, "_run_point", _recording_run_point)
+        cold = OTHERS[1]
+        resolved = prefetch([torn, intact, cold], jobs=2)
+        assert sorted(name for name, _ in _submitted()) == sorted([torn[0], cold[0]])
+        assert all(pid != os.getpid() for _, pid in _submitted())
+        assert resolved[torn].canonical_json() == good
+        clear_cache()
+        assert disk_hits([torn])[torn].canonical_json() == good
+
+    def test_cache_off_parent_reads_no_file(self, monkeypatch):
+        run_batch([POINT])
+        clear_cache()
+        monkeypatch.setenv("REPRO_CACHE", "off")
+
+        def no_read(self, key):
+            raise AssertionError("a cache file was read with REPRO_CACHE=off")
+
+        monkeypatch.setattr(ResultCache, "get", no_read)
+        assert disk_hits([POINT]) == {}
+        resolved = prefetch([POINT], jobs=1)
+        assert set(resolved) == {POINT}
 
 
 class TestDeterminismUnderParallelism:

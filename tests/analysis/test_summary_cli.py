@@ -124,8 +124,11 @@ class TestCli:
         assert main(["--clear-cache"]) == 0
         assert "cleared" in capsys.readouterr().out
 
-    def test_profile_out_dumps_raw_pstats(self, tmp_path, capsys):
+    def test_profile_out_dumps_raw_pstats(self, tmp_path, monkeypatch, capsys):
         import pstats
+
+        # --profile turns the disk cache off for the process; restore it.
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
 
         out = tmp_path / "hot" / "profile.pstats"
         code = main(
@@ -164,6 +167,35 @@ class TestCli:
         )
         assert code == 0
         assert "Figure 12" in capsys.readouterr().out
+
+    def test_warm_parallel_run_reports_only_disk_hits(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.analysis import engine
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        argv = [
+            "figure12",
+            "--threads", "2",
+            "--instrs", "400",
+            "--benchmarks", "AS", "canneal",
+            "--jobs", "2",
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "[simulated 2 point(s) with 2 worker(s), 0 disk-cache hit(s)]" in cold
+
+        clear_cache()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a warm run built a worker pool")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "[simulated 0 point(s) with 0 worker(s), 2 disk-cache hit(s)]" in warm
+        assert warm.split("\n", 1)[1] == cold.split("\n", 1)[1]
 
 
 class TestTraceOut:
