@@ -134,6 +134,8 @@ class AtomicQueue:
         self._set_way_counts: dict[int, dict[int, int]] = {}
         self._locked_count = 0
         self._by_source: dict[DynInstr, list[AtomicQueueEntry]] = {}
+        #: The core's probe table (lock / unlock), None unless observed.
+        self.probe = None
 
     # ------------------------------------------------------------------
     # index maintenance (called from the entry's mutators)
@@ -146,6 +148,9 @@ class AtomicQueue:
         self._setway_locks[key] = self._setway_locks.get(key, 0) + 1
         ways = self._set_way_counts.setdefault(set_index, {})
         ways[way] = ways.get(way, 0) + 1
+        probe = self.probe
+        if probe is not None and probe.lock is not None:
+            probe.lock(entry)
 
     def _on_entry_released(self, entry: AtomicQueueEntry) -> None:
         line, set_index, way = entry.line, entry.set_index, entry.way
@@ -169,6 +174,9 @@ class AtomicQueue:
             del ways[way]
             if not ways:
                 del self._set_way_counts[set_index]
+        probe = self.probe
+        if probe is not None and probe.unlock is not None:
+            probe.unlock(entry)
 
     def _map_source(self, store: DynInstr, entry: AtomicQueueEntry) -> None:
         bucket = self._by_source.get(store)

@@ -46,10 +46,8 @@ class DeadlockWatchdog:
         self._check_scheduled = False
         self._deadline_cycle = 0
         self._timeouts = 0
-        #: Optional observer invoked with the flushed entry on every
-        #: timeout, before the flush runs (cold path: only on actual
-        #: fires).  Used by :mod:`repro.obs`; None costs nothing.
-        self.on_timeout: Optional[Callable[[AtomicQueueEntry], None]] = None
+        #: The core's probe table (arm / fire), None unless observed.
+        self.probe = None
 
     @property
     def armed(self) -> bool:
@@ -99,6 +97,9 @@ class DeadlockWatchdog:
         deadline = max(self._last_activity + self._threshold, self._queue.now)
         self._deadline_cycle = deadline
         self._queue.post_at(deadline, self._check)
+        probe = self.probe
+        if probe is not None and probe.arm is not None:
+            probe.arm(self._last_activity + self._threshold)
 
     def _check(self) -> None:
         self._check_scheduled = False
@@ -113,7 +114,8 @@ class DeadlockWatchdog:
         self._timeouts += 1
         self._stats.bump("watchdog_timeouts")
         self._last_activity = self._queue.now
-        if self.on_timeout is not None:
-            self.on_timeout(oldest)
+        probe = self.probe
+        if probe is not None and probe.fire is not None:
+            probe.fire(oldest)
         self._on_flush(oldest)
         self._ensure_check()

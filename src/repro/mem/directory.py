@@ -288,6 +288,9 @@ class DirectoryController:
         self._pending_by_id: Dict[int, Transaction] = {}
         self._use_clock = 0
         self._txn_pool: List[Transaction] = []
+        #: The directory's probe table (see repro.uarch.probe), None
+        #: unless observed.
+        self.probe = None
 
     # ------------------------------------------------------------------
     # message entry point
@@ -395,6 +398,9 @@ class DirectoryController:
                 txn_id=txn_id, kind=kind, line=line, requester=requester
             )
         self._pending_by_id[txn_id] = txn
+        probe = self.probe
+        if probe is not None and probe.txn_open is not None:
+            probe.txn_open(txn)
         return txn
 
     def _recycle_txn(self, txn: Transaction) -> None:
@@ -547,6 +553,9 @@ class DirectoryController:
         self._close_txn(entry, txn)
 
     def _complete_recall(self, txn: Transaction) -> None:
+        probe = self.probe
+        if probe is not None and probe.txn_close is not None:
+            probe.txn_close(txn)
         entry = self._entries.pop(txn.line, None)
         if entry is not None:
             self._sets[self._set_of(txn.line)].remove(entry)
@@ -558,6 +567,9 @@ class DirectoryController:
         self._recycle_txn(txn)
 
     def _close_txn(self, entry: DirectoryEntry, txn: Transaction) -> None:
+        probe = self.probe
+        if probe is not None and probe.txn_close is not None:
+            probe.txn_close(txn)
         entry._bank.pending[entry._slot] = None
         self._pending_by_id.pop(txn.txn_id, None)
         blocked = txn.blocked

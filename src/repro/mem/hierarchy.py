@@ -149,6 +149,9 @@ class PrivateHierarchy:
         self.lock_view: LockView = _NoLocks()
         #: Called when a line leaves the hierarchy (Inv or L2 eviction).
         self.on_line_lost: Callable[[int], None] = lambda line: None
+        #: The core's probe table (l2_evict / defer), None unless
+        #: observed (see repro.uarch.probe).
+        self.probe = None
         network.register(core_id, self.on_message)
 
     # ------------------------------------------------------------------
@@ -385,6 +388,9 @@ class PrivateHierarchy:
         return excluded
 
     def _evict_from_l2(self, line: int) -> None:
+        probe = self.probe
+        if probe is not None and probe.l2_evict is not None:
+            probe.l2_evict(line)
         self._c_l2_evictions.add()
         self._l1.invalidate(line)
         self.state_epoch += 1
@@ -399,6 +405,9 @@ class PrivateHierarchy:
             self._stats.bump("deferred_inv")
             message.retained = True
             self._deferred.setdefault(message.line, []).append(message)
+            probe = self.probe
+            if probe is not None and probe.defer is not None:
+                probe.defer(message.line, "inv")
             return
         line = message.line
         if self._state.get(line, MESIState.INVALID) is not MESIState.INVALID:
@@ -421,6 +430,9 @@ class PrivateHierarchy:
             self._stats.bump("deferred_downgrade")
             message.retained = True
             self._deferred.setdefault(message.line, []).append(message)
+            probe = self.probe
+            if probe is not None and probe.defer is not None:
+                probe.defer(message.line, "downgrade")
             return
         line = message.line
         if self._state.get(line, MESIState.INVALID).writable:

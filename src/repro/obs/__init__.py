@@ -1,7 +1,7 @@
 """Unified observability: structured tracing, health metrics, auditing.
 
 The package generalises the per-core :class:`~repro.system.trace.PipelineTracer`
-into a system-wide, zero-overhead-when-off event layer:
+into a system-wide event layer:
 
 - :mod:`repro.obs.events` — the :class:`ObsEvent` record and the
   :class:`BoundedEventLog` capped ring buffer every sink is built on;
@@ -9,21 +9,22 @@ into a system-wide, zero-overhead-when-off event layer:
   plus per-stream counters, extensible with custom sinks);
 - :mod:`repro.obs.config` — :class:`ObsConfig`, selecting event
   categories, ring capacity and the invariant-audit cadence;
-- :mod:`repro.obs.attach` — :class:`Observability`, which instruments a
-  :class:`~repro.system.simulator.System` by wrapping instance methods
-  (the tracer's technique), schedules online ``verify_system`` audits,
-  and builds the end-of-run health report;
+- :mod:`repro.obs.attach` — :class:`Observability`, which listens on a
+  :class:`~repro.system.simulator.System`'s probe points
+  (:mod:`repro.uarch.probe`, as the tracer does), schedules online
+  ``verify_system`` audits, and builds the end-of-run health report;
 - :mod:`repro.obs.chrome` — Chrome ``trace_event`` JSON export
   (openable in Perfetto / ``chrome://tracing``) and a schema validator;
 - :mod:`repro.obs.health` — the run-health report builder.
 
-Overhead contract: with no :class:`Observability` attached the
-simulator executes **zero** observability code — instrumentation is
-installed by replacing instance attributes on an opted-in ``System``'s
-components, never by adding branches to the shared hot paths.  The only
-always-present costs are plain attribute stores on cold paths (a squash
-cause tag, an optional watchdog hook check on timeout), which the perf
-gate (``scripts/bench_harness.py --compare``) bounds.
+Overhead contract: with no :class:`Observability` (or tracer) attached
+every probe slot is ``None`` and the simulator runs no observability
+code.  What it always pays is one ``None`` check per probe point it
+passes: per fetch and commit window for dispatch and commit, and per
+perform, store perform, forward, squash, AQ lock change, watchdog arm
+or fire, L2 eviction, deferral and directory transaction otherwise.
+No tool replaces a simulator method, so observation never changes
+which code is simulated.
 """
 
 from repro.obs.attach import Observability

@@ -1,39 +1,25 @@
 """Attach the observability layer to a :class:`System`.
 
-:class:`Observability` emits onto the :class:`~repro.obs.bus.EventBus`
-from two kinds of attachment point, both set up per *instance* at
-attach time, so the simulator's shared hot paths keep zero
-observability branches and a system without an attached observer runs
-exactly the unobserved code (the basis of the byte-identity and
-perf-gate acceptance tests):
+:class:`Observability` is a pure listener: it emits onto the
+:class:`~repro.obs.bus.EventBus` from the probe points of
+:mod:`repro.uarch.probe` and replaces no simulator method.  A system
+without an attached observer has every probe slot ``None`` and runs no
+observability code.
 
-- the core's probe slot (:mod:`repro.uarch.probe`): dispatch and commit
-  listeners, which the batched fetch and commit windows call once per
-  instruction, and spin fast-forward's park/unpark listeners.  The
-  batched legs and spin fast-forward therefore stay on under
-  observation.  Every per-core stream is also counted on the probe, so
-  un-parking adds the skipped laps' ``pipeline/*`` counts and the
-  report's totals stay exact;
-- thin wrappers that replace instance attributes and then call the
-  original, resolved via instance lookup at call time so they fire
-  identically under ``REPRO_NO_FASTPATH=1``:
-
-  - core: ``_perform_load``, ``_perform_load_lock``, ``_finish_forward``,
-    ``_perform_store`` (with their prebound ``*_cb`` aliases),
-    ``_squash_from`` (cause read from ``core.last_squash_cause``),
-    ``_forward_load``;
-  - atomic queue: ``_on_entry_locked`` / ``_on_entry_released`` — one
-    uniform lock/unlock stream that also covers lock *capture* via the
-    store broadcast (section 4.2), which never goes through
-    ``_perform_load_lock``;
-  - watchdog: the ``on_timeout`` hook (fire) plus an ``_ensure_check``
-    wrap (arm);
-  - hierarchy: ``_evict_from_l2`` (replacement / inclusion victims) and
-    ``_on_invalidate`` / ``_on_downgrade`` (deferred coherence requests
-    on locked lines);
-  - directory: ``_open_txn`` / ``_start_recall`` open spans that
-    ``_close_txn`` / ``_complete_recall`` emit as completed
-    transactions.
+- Each core's :class:`~repro.uarch.probe.CoreProbe`, shared with its
+  atomic queue, watchdog and hierarchy, carries the per-core
+  categories: ``pipeline`` (dispatch, perform, store_perform, commit,
+  squash with its cause), ``forward``, ``aq`` (lock/unlock, including
+  lock capture via the store broadcast, section 4.2), ``watchdog``
+  (arm/fire), ``replace`` (L2 evictions), ``coherence/defer``
+  (remote requests waiting on a locked line) and ``spinff``
+  (park/unpark).  Every per-core stream is also counted on the probe,
+  so un-parking adds the skipped laps' ``pipeline/*`` counts and the
+  report's totals stay exact; the batched legs and spin fast-forward
+  stay on under observation.
+- The directory's :class:`~repro.uarch.probe.DirectoryProbe` opens a
+  span per transaction and emits it as ``coherence/txn`` or
+  ``coherence/recall`` when the transaction closes.
 
 Online auditing: with ``audit_interval_cycles > 0`` the attacher posts
 a periodic event that runs the full invariant suite
@@ -55,7 +41,7 @@ from repro.obs.chrome import chrome_trace, write_chrome_trace
 from repro.obs.config import ObsConfig
 from repro.obs.health import build_health
 from repro.uarch.dynins import DynInstr
-from repro.uarch.probe import probe_of
+from repro.uarch.probe import directory_probe_of, probe_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import pathlib
@@ -122,11 +108,6 @@ class Observability:
                 "dispatch", "perform", "store_perform", "commit", "squash",
             )
         )
-        orig_load = core._perform_load
-        orig_lock = core._perform_load_lock
-        orig_forwarded = core._finish_forward
-        orig_store = core._perform_store
-        orig_squash = core._squash_from
 
         def dispatch(instr: DynInstr) -> None:
             emit(
@@ -137,66 +118,38 @@ class Observability:
         def commit(instr: DynInstr) -> None:
             emit(committed, queue.now, instr.seq, 0, {"klass": instr.klass.value})
 
-        def perform_load(instr: DynInstr) -> None:
-            was = instr.performed
-            orig_load(instr)
-            if instr.performed and not was:
-                emit(
-                    performed, queue.now, instr.seq, 0,
-                    {"kind": "load", "addr": instr.address},
-                )
+        def perform(instr: DynInstr, kind: str) -> None:
+            if kind == "load":
+                info = {"kind": kind, "addr": instr.address}
+            elif kind == "load_lock":
+                info = {"kind": kind, "line": instr.line}
+            else:
+                info = {"kind": kind}
+            emit(performed, queue.now, instr.seq, 0, info)
 
-        def perform_lock(instr: DynInstr) -> None:
-            was = instr.performed
-            orig_lock(instr)
-            if instr.performed and not was:
-                emit(
-                    performed, queue.now, instr.seq, 0,
-                    {"kind": "load_lock", "line": instr.line},
-                )
-
-        def finish_forward(instr: DynInstr, value: int) -> None:
-            was = instr.performed
-            orig_forwarded(instr, value)
-            if instr.performed and not was:
-                emit(performed, queue.now, instr.seq, 0, {"kind": "forwarded"})
-
-        def perform_store(store: DynInstr) -> None:
-            was = store.store_performed
-            orig_store(store)
-            if store.store_performed and not was:
-                emit(
-                    store_performed, queue.now, store.seq, 0,
-                    {"addr": store.address, "atomic": 1 if store.is_atomic else 0},
-                )
-
-        def squash_from(seq: int, new_pc: int) -> None:
+        def store_perform(store: DynInstr) -> None:
             emit(
-                squashed, queue.now, seq, 0,
-                {"new_pc": new_pc, "cause": core.last_squash_cause},
+                store_performed, queue.now, store.seq, 0,
+                {"addr": store.address, "atomic": 1 if store.is_atomic else 0},
             )
-            orig_squash(seq, new_pc)
 
-        probe_of(core).listen(dispatch=dispatch, commit=commit)
-        core._perform_load = perform_load  # type: ignore[method-assign]
-        core._perform_load_lock = perform_lock  # type: ignore[method-assign]
-        core._finish_forward = finish_forward  # type: ignore[method-assign]
-        core._perform_store = perform_store  # type: ignore[method-assign]
-        core._squash_from = squash_from  # type: ignore[method-assign]
-        # The memory-request paths hand prebound ``*_cb`` aliases of
-        # these methods to the hierarchy/event queue — refresh them so
-        # the wrappers see those invocations too.
-        core._perform_load_cb = perform_load
-        core._perform_load_lock_cb = perform_lock
-        core._perform_store_cb = perform_store
+        def squash(seq: int, new_pc: int, cause: str) -> None:
+            emit(squashed, queue.now, seq, 0, {"new_pc": new_pc, "cause": cause})
+
+        probe_of(core).listen(
+            dispatch=dispatch,
+            commit=commit,
+            perform=perform,
+            store_perform=store_perform,
+            squash=squash,
+        )
 
     def _attach_forwarding(self, core: "OutOfOrderCore") -> None:
         emit, queue = self.bus.emit_on, core.queue
         (forwarded,) = self._core_streams(core, "forward", "forward")
-        orig_forward = core._forward_load
         depths = self.chain_depths
 
-        def forward_load(instr: DynInstr, store: DynInstr) -> None:
+        def forward(instr: DynInstr, store: DynInstr) -> None:
             depth = chain_depth_of(store) + 1
             depths.append(depth)
             emit(
@@ -207,33 +160,26 @@ class Observability:
                     "to_atomic": 1 if instr.is_atomic else 0,
                 },
             )
-            orig_forward(instr, store)
 
-        core._forward_load = forward_load  # type: ignore[method-assign]
+        probe_of(core).listen(forward=forward)
 
     def _attach_aq(self, core: "OutOfOrderCore") -> None:
         emit, queue = self.bus.emit_on, core.queue
         locks, unlocks = self._core_streams(core, "aq", "lock", "unlock")
-        aq = core.aq
-        orig_locked = aq._on_entry_locked
-        orig_released = aq._on_entry_released
         acquired = self._lock_acquired
         holds = self.lock_holds
 
-        def on_locked(entry) -> None:
-            orig_locked(entry)
+        def lock(entry) -> None:
             acquired[entry] = queue.now
             emit(locks, queue.now, entry.seq, 0, {"line": entry.line})
 
-        def on_released(entry) -> None:
-            orig_released(entry)
+        def unlock(entry) -> None:
             start = acquired.pop(entry, queue.now)
             held = queue.now - start
             holds.append(held)
             emit(unlocks, queue.now, entry.seq, held, {"line": entry.line})
 
-        aq._on_entry_locked = on_locked  # type: ignore[method-assign]
-        aq._on_entry_released = on_released  # type: ignore[method-assign]
+        probe_of(core).listen(lock=lock, unlock=unlock)
 
     def _attach_spinff(self, core: "OutOfOrderCore") -> None:
         """Stream spin fast-forward park/unpark events.
@@ -264,107 +210,59 @@ class Observability:
     def _attach_watchdog(self, core: "OutOfOrderCore") -> None:
         emit, queue = self.bus.emit_on, core.queue
         arms, fires = self._core_streams(core, "watchdog", "arm", "fire")
-        watchdog = core.watchdog
-        orig_ensure = watchdog._ensure_check
         obs = self
 
-        def on_timeout(entry) -> None:
+        def arm(deadline: int) -> None:
+            emit(arms, queue.now, -1, 0, {"deadline": deadline})
+
+        def fire(entry) -> None:
             obs.watchdog_fires += 1
             emit(fires, queue.now, entry.seq, 0, {"line": entry.line})
 
-        def ensure_check() -> None:
-            was = watchdog._check_scheduled
-            orig_ensure()
-            if watchdog._check_scheduled and not was:
-                emit(
-                    arms, queue.now, -1, 0,
-                    {"deadline": watchdog._last_activity + watchdog._threshold},
-                )
-
-        watchdog.on_timeout = on_timeout
-        watchdog._ensure_check = ensure_check  # type: ignore[method-assign]
+        probe_of(core).listen(arm=arm, fire=fire)
 
     def _attach_hierarchy(self, core: "OutOfOrderCore") -> None:
         emit, queue = self.bus.emit_on, core.queue
-        hierarchy = core.hierarchy
-        cfg = self.config
-        if cfg.replacement:
+        probe = probe_of(core)
+        if self.config.replacement:
             (evictions,) = self._core_streams(core, "replace", "l2_evict")
-            orig_evict = hierarchy._evict_from_l2
 
-            def evict_from_l2(line: int) -> None:
+            def l2_evict(line: int) -> None:
                 emit(evictions, queue.now, -1, 0, {"line": line})
-                orig_evict(line)
 
-            hierarchy._evict_from_l2 = evict_from_l2  # type: ignore[method-assign]
-        if cfg.coherence:
+            probe.listen(l2_evict=l2_evict)
+        if self.config.coherence:
             (deferrals,) = self._core_streams(core, "coherence", "defer")
-            orig_inv = hierarchy._on_invalidate
-            orig_down = hierarchy._on_downgrade
 
-            def on_invalidate(message) -> None:
-                orig_inv(message)
-                if message.retained:
-                    emit(
-                        deferrals, queue.now, -1, 0,
-                        {"line": message.line, "kind": "inv"},
-                    )
+            def defer(line: int, kind: str) -> None:
+                emit(deferrals, queue.now, -1, 0, {"line": line, "kind": kind})
 
-            def on_downgrade(message) -> None:
-                orig_down(message)
-                if message.retained:
-                    emit(
-                        deferrals, queue.now, -1, 0,
-                        {"line": message.line, "kind": "downgrade"},
-                    )
-
-            hierarchy._on_invalidate = on_invalidate  # type: ignore[method-assign]
-            hierarchy._on_downgrade = on_downgrade  # type: ignore[method-assign]
+            probe.listen(defer=defer)
 
     def _attach_directory(self, system: "System") -> None:
         bus, queue = self.bus, system.queue
-        directory = system.directory
         opened: dict[int, int] = {}
-        orig_open = directory._open_txn
-        orig_recall = directory._start_recall
-        orig_close = directory._close_txn
-        orig_complete_recall = directory._complete_recall
 
-        def open_txn(kind, entry, requester, data_ready_at):
-            txn = orig_open(kind, entry, requester, data_ready_at)
+        def txn_open(txn) -> None:
             opened[txn.txn_id] = queue.now
-            return txn
 
-        def start_recall(victim, blocked_request) -> None:
-            orig_recall(victim, blocked_request)
-            txn = victim.pending
-            if txn is not None:
-                opened[txn.txn_id] = queue.now
-
-        def close_txn(entry, txn) -> None:
+        def txn_close(txn) -> None:
             start = opened.pop(txn.txn_id, queue.now)
-            bus.emit(
-                queue.now, "coherence", "txn", -1, dur=queue.now - start,
-                info={
+            if txn.kind == "Recall":
+                kind, info = "recall", {"line": txn.line}
+            else:
+                kind, info = "txn", {
                     "kind": txn.kind,
                     "line": txn.line,
                     "requester": txn.requester,
-                },
-            )
-            orig_close(entry, txn)
-
-        def complete_recall(txn) -> None:
-            start = opened.pop(txn.txn_id, queue.now)
+                }
             bus.emit(
-                queue.now, "coherence", "recall", -1, dur=queue.now - start,
-                info={"line": txn.line},
+                queue.now, "coherence", kind, -1, dur=queue.now - start, info=info
             )
-            orig_complete_recall(txn)
 
-        directory._open_txn = open_txn  # type: ignore[method-assign]
-        directory._start_recall = start_recall  # type: ignore[method-assign]
-        directory._close_txn = close_txn  # type: ignore[method-assign]
-        directory._complete_recall = complete_recall  # type: ignore[method-assign]
+        directory_probe_of(system.directory).listen(
+            txn_open=txn_open, txn_close=txn_close
+        )
 
     # ------------------------------------------------------------------
     # online invariant auditing

@@ -2,12 +2,14 @@
 
 :class:`ObsEvent` is deliberately flat (slots, no nesting) so a
 multi-million-event run stays cheap to record, and deliberately
-category-tagged so sinks can filter without parsing:
+category-tagged so sinks can filter without parsing.  Every category
+but ``audit`` (the online auditor's own) is fed by the probe points of
+:mod:`repro.uarch.probe`:
 
 ======== =======================================================
 category events
 ======== =======================================================
-pipeline dispatch, perform, store_perform, commit, squash
+pipeline dispatch, perform, store_perform, commit, squash (+cause)
 aq       lock, unlock (cacheline-lock acquire/release)
 watchdog arm, fire
 forward  forward (store-to-load forwarding-chain formation)

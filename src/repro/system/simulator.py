@@ -173,9 +173,9 @@ class System:
         self._trace_enabled = trace
         self._ran = False
         #: Attached observer (:mod:`repro.obs`), or None.  Attachment
-        #: happens here — after every component exists — so the
-        #: wrappers see the final instance methods; with None the
-        #: simulator runs exactly the uninstrumented code.
+        #: happens here — after every component exists — so its
+        #: listeners reach every probe slot; with None every slot stays
+        #: None and the simulator runs no observability code.
         self.obs = observability
         if observability is not None:
             observability.attach(self)

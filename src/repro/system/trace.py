@@ -1,10 +1,11 @@
 """Pipeline lifecycle tracing for debugging and teaching.
 
-``PipelineTracer.attach(core)`` instruments one core's key pipeline
-events — dispatch, load/lock perform, store perform, commit, squash,
-lock/unlock — without touching the simulator's hot paths when tracing
-is off.  Events are recorded as :class:`TraceEvent` rows; ``timeline``
-renders an instruction-centric view:
+``PipelineTracer.attach(core)`` records one core's key pipeline
+events — dispatch, load/lock perform, store perform (an atomic's is
+its unlock), commit, squash — as :class:`TraceEvent` rows, listening on
+the core's probe points (:mod:`repro.uarch.probe`).  An untraced core
+runs no tracer code.  ``timeline`` renders an instruction-centric
+view:
 
     seq   42 pc   7 atomic   | D@100 P@131(lock 0x40) C@140 W@144
 
@@ -15,11 +16,9 @@ costs bounded memory and ``timeline`` simply renders the retained
 window.  (The original implementation kept an unbounded list and would
 "happily eat your memory" — its own words — on long runs.)
 
-Dispatch and commit arrive through the core's probe
-(:mod:`repro.uarch.probe`), so a traced core keeps the batched pipeline
-legs and spin fast-forward.  A parked spin span therefore leaves a gap
-in the timeline: its laps are re-synthesized in the stats, not replayed
-as events.
+A traced core keeps the batched pipeline legs and spin fast-forward.
+A parked spin span therefore leaves a gap in the timeline: its laps
+are re-synthesized in the stats, not replayed as events.
 
 For system-wide, multi-category tracing (coherence, AQ locks,
 watchdog, forwarding chains) see :mod:`repro.obs`.
@@ -43,7 +42,7 @@ class TraceEvent:
 
     cycle: int
     core: int
-    kind: str  # dispatch | perform | store_perform | commit | squash | lock | unlock
+    kind: str  # dispatch | perform | lock | store_perform | commit | squash
     seq: int
     pc: int
     detail: str = ""
@@ -86,91 +85,45 @@ class PipelineTracer:
         return self.events.dropped
 
     def attach(self, core: OutOfOrderCore) -> "PipelineTracer":
-        """Instrument ``core``; returns self for chaining."""
+        """Listen on ``core``'s probe; returns self for chaining."""
         self._cores.append(core)
-        tracer = self
+        append = self.events.append
+        queue, core_id = core.queue, core.core_id
 
-        original_perform_load = core._perform_load
-        original_perform_lock = core._perform_load_lock
-        original_perform_store = core._perform_store
-        original_squash = core._squash_from
-        original_finish_forward = core._finish_forward
-
-        def record(kind: str, instr: DynInstr, detail: str = "") -> None:
-            tracer.events.append(
-                TraceEvent(
-                    cycle=core.queue.now,
-                    core=core.core_id,
-                    kind=kind,
-                    seq=instr.seq,
-                    pc=instr.pc,
-                    detail=detail,
-                )
-            )
+        def record(kind: str, seq: int, pc: int, detail: str) -> None:
+            append(TraceEvent(queue.now, core_id, kind, seq, pc, detail))
 
         def dispatch(instr: DynInstr) -> None:
-            record("dispatch", instr, instr.klass.value)
-
-        def perform_load(instr: DynInstr) -> None:
-            was = instr.performed
-            original_perform_load(instr)
-            if instr.performed and not was:
-                record("perform", instr, f"load {instr.address:#x}={instr.result}")
-
-        def perform_lock(instr: DynInstr) -> None:
-            was = instr.performed
-            original_perform_lock(instr)
-            if instr.performed and not was:
-                record(
-                    "lock",
-                    instr,
-                    f"line {instr.line:#x} read {instr.result}",
-                )
-
-        def finish_forward(instr: DynInstr, value: int) -> None:
-            was = instr.performed
-            original_finish_forward(instr, value)
-            if instr.performed and not was:
-                record("perform", instr, f"forwarded={value}")
-
-        def perform_store(store: DynInstr) -> None:
-            was = store.store_performed
-            original_perform_store(store)
-            if store.store_performed and not was:
-                kind = "store_perform"
-                detail = f"{store.address:#x}<-{store.store_value}"
-                if store.is_atomic:
-                    detail += " unlock"
-                record(kind, store, detail)
+            record("dispatch", instr.seq, instr.pc, instr.klass.value)
 
         def commit(instr: DynInstr) -> None:
-            record("commit", instr, instr.klass.value)
+            record("commit", instr.seq, instr.pc, instr.klass.value)
 
-        def squash_from(seq: int, new_pc: int) -> None:
-            tracer.events.append(
-                TraceEvent(
-                    cycle=core.queue.now,
-                    core=core.core_id,
-                    kind="squash",
-                    seq=seq,
-                    pc=new_pc,
-                    detail=f"flush >= {seq}, refetch pc {new_pc}",
-                )
-            )
-            original_squash(seq, new_pc)
+        def perform(instr: DynInstr, kind: str) -> None:
+            seq, pc, result = instr.seq, instr.pc, instr.result
+            if kind == "load_lock":
+                record("lock", seq, pc, f"line {instr.line:#x} read {result}")
+            elif kind == "load":
+                record("perform", seq, pc, f"load {instr.address:#x}={result}")
+            else:
+                record("perform", seq, pc, f"forwarded={result}")
 
-        probe_of(core).listen(dispatch=dispatch, commit=commit)
-        core._perform_load = perform_load  # type: ignore[method-assign]
-        core._perform_load_lock = perform_lock  # type: ignore[method-assign]
-        core._perform_store = perform_store  # type: ignore[method-assign]
-        core._squash_from = squash_from  # type: ignore[method-assign]
-        core._finish_forward = finish_forward  # type: ignore[method-assign]
-        # The memory-request paths hand prebound ``*_cb`` aliases of
-        # these methods to the hierarchy/event queue — refresh them so
-        # the wrappers see those invocations too.
-        core._perform_load_cb = perform_load
-        core._perform_load_lock_cb = perform_lock
-        core._perform_store_cb = perform_store
+        def store_perform(store: DynInstr) -> None:
+            detail = f"{store.address:#x}<-{store.store_value}"
+            if store.is_atomic:
+                detail += " unlock"
+            record("store_perform", store.seq, store.pc, detail)
+
+        def squash(seq: int, new_pc: int, cause: str) -> None:
+            record("squash", seq, new_pc, f"flush >= {seq}, refetch pc {new_pc}")
+
+        probe_of(core).listen(
+            dispatch=dispatch,
+            commit=commit,
+            perform=perform,
+            store_perform=store_perform,
+            squash=squash,
+        )
         return self
 
     # ------------------------------------------------------------------

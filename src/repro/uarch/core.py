@@ -278,7 +278,7 @@ class OutOfOrderCore:
         self._resolve_branch_cb = self._resolve_branch
         self._agen_cb = self._agen
         self._notify_unlock_cb = hierarchy.notify_unlock
-        self._finish_forward_cb = self._finish_forward_pair
+        self._finish_forward_cb = self._finish_forward
         # Arg-carrying memory-request callbacks (the hierarchy passes
         # the instruction back through the queue entry — no closure per
         # load/store request).
@@ -314,14 +314,9 @@ class OutOfOrderCore:
         #: When set (System(trace=True)), committed memory operations are
         #: appended here in commit order, for the TSO checker.
         self.commit_trace: Optional[list[Operation]] = None
-        #: Why the in-progress squash started (branch | mem_dep |
-        #: mem_order | watchdog); tagged at each squash site so
-        #: observers wrapping ``_squash_from`` can attribute the flush
-        #: without the hot path carrying any extra branches.
-        self.last_squash_cause: str = ""
-        #: The one observation slot (see repro.uarch.probe): dispatch /
-        #: commit / park / unpark listeners and counted event streams.
-        #: None unless a tool observes this core.
+        #: The core's probe table (see repro.uarch.probe), shared with
+        #: its AQ, watchdog and hierarchy.  None unless a tool observes
+        #: this core.
         self.probe: Optional[CoreProbe] = None
 
         # Spin fast-forward (see repro.uarch.spinff).  The engine only
@@ -1022,9 +1017,7 @@ class OutOfOrderCore:
                     self._commit_scheduled = True
                     self.queue.post(1, self._commit_cb)
         if mispredicted:
-            self.stats.bump("squash.branch")
-            self.last_squash_cause = "branch"
-            self._squash_from(instr.seq + 1, instr.actual_target)
+            self._squash_from(instr.seq + 1, instr.actual_target, "branch")
 
     # ==================================================================
     # memory unit: address generation
@@ -1089,9 +1082,7 @@ class OutOfOrderCore:
         victim = self.lq.oldest_violating_load(store.seq, store.word)
         if victim is not None:
             self.storeset.train_violation(victim, store)
-            self.stats.bump("squash.mem_dep")
-            self.last_squash_cause = "mem_dep"
-            self._squash_from(victim.seq, victim.pc)
+            self._squash_from(victim.seq, victim.pc, "mem_dep")
 
     # ==================================================================
     # memory unit: loads and load_locks
@@ -1321,6 +1312,9 @@ class OutOfOrderCore:
     def _forward_load(self, instr: DynInstr, store: DynInstr) -> None:
         """Store-to-load forwarding (regular loads and load_locks)."""
         assert store.store_data_ready and store.store_value is not None
+        probe = self.probe
+        if probe is not None and probe.forward is not None:
+            probe.forward(instr, store)
         instr.mem_issued = True
         instr.issue_cycle = self.queue.now
         instr.forwarded_from = store.seq
@@ -1340,10 +1334,9 @@ class OutOfOrderCore:
         # value): forwarding fires constantly in the fwd policies.
         self.queue.post1(latency, self._finish_forward_cb, (instr, value))
 
-    def _finish_forward_pair(self, pair: tuple) -> None:
-        self._finish_forward(pair[0], pair[1])
-
-    def _finish_forward(self, instr: DynInstr, value: int) -> None:
+    def _finish_forward(self, pair: tuple) -> None:
+        """The forwarded value lands (``pair`` = instruction, value)."""
+        instr, value = pair
         if instr.squashed:
             return
         instr.performed = True
@@ -1355,6 +1348,9 @@ class OutOfOrderCore:
             # acquisition, which here transfers at store-perform time.
             self._try_compute_atomic_value(instr)
         self._complete(instr)
+        probe = self.probe
+        if probe is not None and probe.perform is not None:
+            probe.perform(instr, "forwarded")
 
     def _perform_load(self, instr: DynInstr) -> None:
         if instr.squashed:
@@ -1380,6 +1376,9 @@ class OutOfOrderCore:
                 ):
                     self._commit_scheduled = True
                     self.queue.post(1, self._commit_cb)
+        probe = self.probe
+        if probe is not None and probe.perform is not None:
+            probe.perform(instr, "load")
 
     def _perform_load_lock(self, instr: DynInstr) -> None:
         """The load_lock reads its value and locks the line (section 2)."""
@@ -1404,6 +1403,9 @@ class OutOfOrderCore:
         self._c_load_locks_performed()
         self._try_compute_atomic_value(instr)
         self._complete(instr)
+        probe = self.probe
+        if probe is not None and probe.perform is not None:
+            probe.perform(instr, "load_lock")
 
     def _try_compute_atomic_value(self, instr: DynInstr) -> None:
         """Fold the modify µop: needs the old value and the operands."""
@@ -1512,6 +1514,9 @@ class OutOfOrderCore:
         self._maybe_resume_fetch()  # SQ/AQ entries freed
         self._on_sb_progress()
         self._try_drain_sb()
+        probe = self.probe
+        if probe is not None and probe.store_perform is not None:
+            probe.store_perform(store)
 
     def _record_atomic_cost(self, instr: DynInstr) -> None:
         """Figure 1 accounting: Drain_SB and Atomic cycle components."""
@@ -1903,8 +1908,13 @@ class OutOfOrderCore:
     # ==================================================================
     # squash
 
-    def _squash_from(self, seq: int, new_pc: int) -> None:
-        """Flush all instructions with sequence >= ``seq``; refetch."""
+    def _squash_from(self, seq: int, new_pc: int, cause: str) -> None:
+        """Flush all instructions with sequence >= ``seq``; refetch.
+        ``cause`` is branch | mem_dep | mem_order | watchdog."""
+        self.stats.bump(f"squash.{cause}")
+        probe = self.probe
+        if probe is not None and probe.squash is not None:
+            probe.squash(seq, new_pc, cause)
         self._spin_streak = 0
         spinff = self._spinff
         if spinff is not None and spinff.observing:
@@ -1951,17 +1961,13 @@ class OutOfOrderCore:
         """TSO: the line left the hierarchy; squash speculative readers."""
         victim = self.lq.oldest_ordering_violation(line)
         if victim is not None:
-            self.stats.bump("squash.mem_order")
-            self.last_squash_cause = "mem_order"
-            self._squash_from(victim.seq, victim.pc)
+            self._squash_from(victim.seq, victim.pc, "mem_order")
 
     def _watchdog_flush(self, entry: AtomicQueueEntry) -> None:
         instr = entry.instr
         if instr.squashed or instr.committed:
             return
-        self.stats.bump("squash.watchdog")
-        self.last_squash_cause = "watchdog"
-        self._squash_from(instr.seq, instr.pc)
+        self._squash_from(instr.seq, instr.pc, "watchdog")
 
     def _schedule_unlock_notify(self, line: int) -> None:
         """Decouple deferred-request replay from the unlocking event."""

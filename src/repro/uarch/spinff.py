@@ -91,19 +91,6 @@ COOLDOWN_CYCLES = 64
 #: latency (see _on_send), enforced at match time.
 MAX_PERIOD_CAP = 16
 
-#: The core's prebound event callbacks (attributes a tool may wrap).
-_PREBOUND_CALLBACKS = (
-    "_fetch_impl",
-    "_commit_cb",
-    "_execute_alu_cb",
-    "_resolve_branch_cb",
-    "_agen_cb",
-    "_finish_forward_cb",
-    "_perform_load_cb",
-    "_perform_load_lock_cb",
-    "_perform_store_cb",
-)
-
 #: Sentinel for "this state cannot be canonicalized" (never parked).
 _BAD = object()
 
@@ -141,9 +128,6 @@ class SpinFastForward:
         self._attr_deltas: tuple = ()
         self._lap_tape: list = []
         self._stream_deltas: tuple = ()
-        #: The core's wrapped prebound callbacks, read at the start of
-        #: each attempt (see _wrapped_callbacks).
-        self._wrapped: dict = {}
         # Park state.
         self._parked_at = 0
         self._descriptors: list = []
@@ -170,7 +154,6 @@ class SpinFastForward:
         if self._state == _IDLE:
             if now < self._next_try_cycle or not self._prefilter():
                 return
-            self._wrapped = self._wrapped_callbacks()
             sig = self._signature(self._quick_key(now))
             if sig is None:
                 self.abort()
@@ -428,22 +411,6 @@ class SpinFastForward:
             return _BAD if _BAD in parts else ("t", parts)
         return _BAD
 
-    def _wrapped_callbacks(self) -> dict:
-        """The core's prebound event callbacks that a tool replaced with
-        a plain-function wrapper, mapped to the attribute they replace.
-        ``Observability`` and ``PipelineTracer`` wrap the memory-request
-        ones; the stage accountant of ``benchmarks/bench_stage_breakdown.py``
-        wraps all of them.  Pending entries of these belong to the core
-        as much as its own methods' entries do, and the attribute name
-        stands in for the wrapper's own (wrappers may share one)."""
-        core = self.core
-        wrapped = {}
-        for name in _PREBOUND_CALLBACKS:
-            callback = getattr(core, name)
-            if getattr(callback, "__self__", None) is not core:
-                wrapped[callback] = name
-        return wrapped
-
     def _targets_core(self, arg) -> bool:
         if type(arg) is list:
             core_id = self.core.core_id
@@ -463,24 +430,17 @@ class SpinFastForward:
             return None
         core = self.core
         hierarchy = self.hierarchy
-        wrapped = self._wrapped
         now = queue.now
         canon = []
         for due, order, callback, arg, handle in queue.iter_ring():
             owner = getattr(callback, "__self__", None)
             if owner is core or owner is hierarchy:
-                name = callback.__name__
-            elif wrapped and callback in wrapped:
-                name = wrapped[callback]
-            else:
-                name = None
-            if name is not None:
                 if handle is not None:
                     return None
                 arg_c = self._canon_arg(arg, base)
                 if arg_c is _BAD:
                     return None
-                canon.append((due - now, name, arg_c))
+                canon.append((due - now, callback.__name__, arg_c))
                 if plan is not None:
                     plan.append((due, order, callback, arg))
             elif self._targets_core(arg):
@@ -488,7 +448,7 @@ class SpinFastForward:
                 return None
         for due, order, callback, arg, handle in queue.iter_heap():
             owner = getattr(callback, "__self__", None)
-            if owner is core or owner is hierarchy or callback in wrapped:
+            if owner is core or owner is hierarchy:
                 return None
             if self._targets_core(arg):
                 self._retry_at = due
@@ -530,12 +490,10 @@ class SpinFastForward:
             (due - now, now - posted_cycle(order), callback, arg)
             for due, order, callback, arg in plan
         ]
-        wrapped = self._wrapped
         extracted = self.queue.extract_ring(
             lambda cb, a, c=core, h=self.hierarchy: (
                 getattr(cb, "__self__", None) is c
                 or getattr(cb, "__self__", None) is h
-                or cb in wrapped
             )
         )
         assert len(extracted) == len(plan)

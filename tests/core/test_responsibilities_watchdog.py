@@ -17,6 +17,7 @@ from repro.core.watchdog import DeadlockWatchdog
 from repro.isa.instructions import AtomicRMW, Load, MemoryOperand, Store
 from repro.uarch.dynins import DynInstr
 from repro.uarch.lsq import StoreQueue
+from repro.uarch.probe import CoreProbe
 
 
 def atomic(seq, word=None, data_ready=False):
@@ -268,10 +269,11 @@ class TestWatchdogAccounting:
         _, _, [(aq2, wd2), _] = self.make_pair(shared_stats=stats)
         assert wd2.timeouts == 0
 
-    def test_on_timeout_hook_observes_each_fire(self):
+    def test_fire_probe_observes_each_fire(self):
         queue, stats, [(aq0, wd0), _] = self.make_pair()
         seen = []
-        wd0.on_timeout = seen.append
+        wd0.probe = CoreProbe()
+        wd0.probe.listen(fire=seen.append)
         entry = self.fire(queue, aq0, wd0)
         assert seen == [entry]
         assert wd0.timeouts == 1

@@ -24,6 +24,7 @@ from repro.obs.config import ConfigError
 from repro.obs.health import HEALTH_SCHEMA, pow2_histogram
 from repro.system.simulator import System, run_workload
 from repro.system.trace import PipelineTracer
+from repro.uarch.probe import probe_of
 from repro.workloads.generator import WorkloadScale, generate_workload
 from tests.conftest import counter_workload, small_system_config
 from tests.integration.test_deadlocks import rmw_rmw_workload
@@ -183,6 +184,28 @@ class TestHealthReport:
         assert holds["count"] == len(obs.lock_holds) > 0
         assert holds["min"] <= holds["mean"] <= holds["max"]
         assert health["forward_chain_depth"]["count"] == len(obs.chain_depths)
+
+    def test_user_fire_listener_and_observer_both_see_each_fire(self):
+        # A listener a user adds on an observed system chains with the
+        # observer's; neither silences the other (an overwritten
+        # watchdog hook used to zero ``fires_observed``).
+        workload, _ = rmw_rmw_workload(iterations=10)
+        obs = Observability()
+        system = System(
+            workload,
+            policy=FREE_ATOMICS,
+            config=small_system_config(2, watchdog_cycles=400),
+            observability=obs,
+        )
+        seen = []
+        for core in system.cores:
+            probe_of(core).listen(fire=lambda entry, c=core.core_id: seen.append(c))
+        result = system.run()
+        watchdog = result.health["watchdog"]
+        assert watchdog["timeouts"] == result.timeouts > 0
+        assert len(seen) == watchdog["fires_observed"] == result.timeouts
+        assert obs.bus.counts["watchdog/fire"] == result.timeouts
+        assert [seen.count(c) for c in (0, 1)] == watchdog["per_core"]
 
     def test_health_is_json_stable(self):
         runs = [

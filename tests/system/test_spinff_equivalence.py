@@ -22,8 +22,7 @@ import pytest
 
 from repro.common.config import icelake_config
 from repro.core.policy import FREE_ATOMICS_FWD
-from repro.system.simulator import System, run_workload
-from repro.uarch.spinff import _PREBOUND_CALLBACKS
+from repro.system.simulator import run_workload
 from repro.workloads.generator import WorkloadScale, generate_workload
 
 PAPER_WIDTH = 32
@@ -158,30 +157,6 @@ def test_paper_width_obs_attached_identical(monkeypatch):
     assert fast[0] == reference[0], "structured event streams diverge"
     assert fast[1] == reference[1], "per-stream event counts diverge"
     assert fast[2] == reference[2], "summaries diverge"
-
-
-def test_wrapped_prebound_callbacks_park_identically(monkeypatch):
-    """Tools (the stage accountant, the observers) replace the core's
-    prebound event callbacks with plain-function wrappers, here all of
-    them with one shared name.  Parking must still extract, canonicalize
-    and replay their pending entries as the core's own."""
-    for var in ("REPRO_NO_FASTPATH", "REPRO_NO_SPINFF"):
-        monkeypatch.delenv(var, raising=False)
-    workload = paper_width_workload("canneal", 100)
-    config = icelake_config(num_cores=PAPER_WIDTH)
-    plain = System(workload, policy=FREE_ATOMICS_FWD, config=config).run()
-    system = System(workload, policy=FREE_ATOMICS_FWD, config=config)
-    for core in system.cores:
-        for name in _PREBOUND_CALLBACKS:
-
-            def wrapper(*args, fn=getattr(core, name)):
-                return fn(*args)
-
-            setattr(core, name, wrapper)
-    wrapped = system.run()
-    assert wrapped.fastforward["parks"] > 0, "never parked: dead test"
-    assert wrapped.fastforward == plain.fastforward
-    assert wrapped.summary().canonical_json() == plain.summary().canonical_json()
 
 
 def test_time_warp_fires_at_paper_width(monkeypatch):

@@ -1,4 +1,4 @@
-"""The core probe slot (repro.uarch.probe) and spin fast-forward's use of it.
+"""The probe tables (repro.uarch.probe) and spin fast-forward's use of them.
 
 A tool counts per-core event streams on the probe.  Spin fast-forward
 replays a parked span's counts of ``pipeline`` streams on wake, and
@@ -14,7 +14,12 @@ import pytest
 from repro.common.config import icelake_config
 from repro.core.policy import FREE_ATOMICS_FWD
 from repro.system.simulator import System
-from repro.uarch.probe import CoreProbe, probe_of
+from repro.uarch.probe import (
+    CoreProbe,
+    DirectoryProbe,
+    directory_probe_of,
+    probe_of,
+)
 from repro.workloads.generator import WorkloadScale, generate_workload
 
 
@@ -32,6 +37,25 @@ class TestCoreProbe:
         probe.commit(2)
         assert seen == [("a", 1), ("b", 1), 2]
         assert probe.park is None and probe.unpark is None
+
+    def test_unknown_point_is_rejected(self):
+        with pytest.raises(TypeError, match="no point 'dispatched'"):
+            CoreProbe().listen(dispatched=print)
+        with pytest.raises(TypeError, match="no point 'perform'"):
+            DirectoryProbe().listen(perform=print)
+
+    def test_core_components_share_one_table(self):
+        workload = generate_workload(
+            "AS", WorkloadScale(num_threads=2, instructions_per_thread=50, seed=0)
+        )
+        system = System(workload, config=icelake_config(num_cores=2))
+        core, other = system.cores
+        probe = probe_of(core)
+        assert probe_of(core) is probe
+        assert core.aq.probe is core.watchdog.probe is core.hierarchy.probe is probe
+        assert other.probe is None and other.hierarchy.probe is None
+        assert system.directory.probe is None
+        assert directory_probe_of(system.directory) is system.directory.probe
 
     def test_lap_delta_and_replay(self):
         probe = CoreProbe()
