@@ -257,31 +257,8 @@ def run_batch(points: Iterable[Point]) -> dict[Point, ResultSummary]:
 #: giving up and surfacing the partial result.
 POOL_REBUILD_LIMIT = 1
 
-#: Process-lifetime count of worker-pool rebuilds (serve metrics reads
-#: this; tests reset it via :func:`_reset_pool_rebuilds`).
-_POOL_REBUILDS = 0
-
-
-def pool_rebuild_count() -> int:
-    """How many times this process has replaced a crashed worker pool."""
-    return _POOL_REBUILDS
-
-
-def _note_pool_rebuild() -> None:
-    global _POOL_REBUILDS
-    _POOL_REBUILDS += 1
-
-
-def _reset_pool_rebuilds() -> None:
-    global _POOL_REBUILDS
-    _POOL_REBUILDS = 0
-
-
 def prefetch(
-    points: Iterable[Point],
-    jobs: Optional[int] = None,
-    *,
-    pool_rebuilds: int = POOL_REBUILD_LIMIT,
+    points: Iterable[Point], jobs: Optional[int] = None
 ) -> dict[Point, ResultSummary]:
     """Resolve ``points``: disk hits here, misses on ``jobs`` workers.
 
@@ -300,7 +277,7 @@ def prefetch(
     ``ProcessPoolExecutor`` — every in-flight future, not just the
     crasher's.  Completed points are never lost to that: results are
     memoized as each future finishes, the broken pool is replaced up to
-    ``pool_rebuilds`` times, and only the unfinished points are
+    :data:`POOL_REBUILD_LIMIT` times, and only the unfinished points are
     resubmitted.  If the budget runs out with points still unresolved,
     :class:`~repro.common.errors.PartialSweepError` surfaces the
     completed summaries (disk hits included) and lists the failed
@@ -314,7 +291,7 @@ def prefetch(
         return {**hits, **run_batch(misses)}
     resolved: dict[Point, ResultSummary] = dict(hits)
     remaining = misses
-    rebuilds_left = pool_rebuilds
+    rebuilds_left = POOL_REBUILD_LIMIT
     while remaining:
         broke = False
         try:
@@ -342,7 +319,7 @@ def prefetch(
             break
         if rebuilds_left <= 0:
             raise PartialSweepError(
-                f"worker pool broke {1 + pool_rebuilds} time(s); "
+                f"worker pool broke {1 + POOL_REBUILD_LIMIT} time(s); "
                 f"{len(resolved)}/{len(hits) + len(misses)} points completed "
                 f"({len(hits)} from the disk cache), "
                 f"unresolved: {[(p[0], p[1]) for p in remaining]}",
@@ -350,7 +327,6 @@ def prefetch(
                 failed=remaining,
             )
         rebuilds_left -= 1
-        _note_pool_rebuild()
     return resolved
 
 

@@ -261,9 +261,9 @@ def run_benchmark(
     Simulation is single-flight across processes: on a disk miss the
     runner takes the cache's advisory per-key ``flock`` before
     simulating, and re-checks the cache once the lock is held — so N
-    processes (pool workers, serve daemons, parallel shells) racing on
-    the same cold point elect one simulator and the rest replay its
-    entry.  The lock is advisory: where ``flock`` is unavailable the
+    processes (pool workers, concurrent CLI sweeps sharing one cache
+    directory) racing on the same cold point elect one simulator and
+    the rest replay its entry.  The lock is advisory: where ``flock`` is unavailable the
     race degrades to the old duplicated-work behaviour, never to a
     wrong result.
     """

@@ -1,6 +1,7 @@
 """Concurrency hardening of the disk cache.
 
-Regression tests for the three bugs the serve daemon exposed:
+Regression tests for the three races that concurrent processes sharing
+one cache directory (pool workers, parallel CLI sweeps) can hit:
 
 1. the corrupt-entry unlink race — a reader observing a torn file must
    not delete the valid entry a concurrent ``put`` just replaced it
