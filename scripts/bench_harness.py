@@ -151,10 +151,9 @@ def paper_point(
     directly (not through the analysis prefetch layer) so the
     ``SimulationResult.fastforward`` diagnostics — parks,
     spin_cycles_skipped, time_warp_jumps — ride along with the timing;
-    the rep loop sits inside ``batch_gc_tuning`` because the committed
-    baselines were measured through ``prefetch``/``run_batch``, which
-    apply the same GC regime (without it the point reads ~35% slower
-    from collector passes alone, which would poison the trajectory).
+    the rep loop sits inside ``batch_gc_tuning``, the simulator's GC
+    regime, which every ``System.run`` drain holds anyway; the wrapper
+    only extends it over the work between the reps.
     """
     from repro.analysis.engine import batch_gc_tuning
     from repro.analysis.runner import (

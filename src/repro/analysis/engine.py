@@ -25,12 +25,10 @@ Worker count resolution (first match wins):
 from __future__ import annotations
 
 import dataclasses
-import gc
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.analysis import runner as _runner
 from repro.analysis.runner import ExperimentScale, run_benchmark
@@ -42,6 +40,7 @@ from repro.core.policy import (
     VERSIONED,
     policy_by_name,
 )
+from repro.system.simulator import gc_regime
 from repro.system.summary import ResultSummary
 from repro.workloads.profiles import ATOMIC_INTENSIVE, BENCHMARK_ORDER
 
@@ -50,6 +49,11 @@ JOBS_ENV = "REPRO_BENCH_JOBS"
 
 #: One simulation point: (benchmark, policy name, scale, core preset).
 Point = tuple[str, str, ExperimentScale, str]
+
+#: The simulator's GC regime (:func:`repro.system.simulator.gc_regime`),
+#: under its older name.  Every ``System.run`` drain already holds it, so
+#: the engine applies no GC tuning of its own.
+batch_gc_tuning = gc_regime
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -86,45 +90,6 @@ def effective_jobs(jobs: Optional[int], num_simulated: int) -> int:
     if resolved <= 1 or num_simulated <= 1:
         return 1
     return min(resolved, num_simulated)
-
-
-# ----------------------------------------------------------------------
-# GC tuning for batch simulation
-
-#: (gen0, gen1, gen2) thresholds while simulating a batch of points.
-_BATCH_GC_THRESHOLDS = (50_000, 25, 25)
-
-
-def _tune_gc_for_simulation() -> None:
-    """Collect once, freeze the startup heap, raise the gen-0 threshold.
-
-    The simulator churns through millions of short-lived DynInstr /
-    event-tuple objects, nearly all reclaimed by reference counting;
-    the default gen-0 threshold (700) makes the cyclic collector
-    rescan the (large, static) module/config heap thousands of times
-    per point for nothing.  Freezing moves that startup heap into the
-    permanent generation so collections only walk true churn.
-    """
-    gc.collect()
-    gc.freeze()
-    gc.set_threshold(*_BATCH_GC_THRESHOLDS)
-
-
-@contextmanager
-def batch_gc_tuning() -> Iterator[None]:
-    """Apply :func:`_tune_gc_for_simulation` for the duration of a batch.
-
-    Restores the previous thresholds and unfreezes on exit, so callers
-    embedded in larger processes (tests, notebooks) see no lasting
-    change.
-    """
-    previous = gc.get_threshold()
-    _tune_gc_for_simulation()
-    try:
-        yield
-    finally:
-        gc.set_threshold(*previous)
-        gc.unfreeze()
 
 
 # ----------------------------------------------------------------------
@@ -239,18 +204,14 @@ def run_batch(points: Iterable[Point]) -> dict[Point, ResultSummary]:
     points back to back, so everything the points have in common is
     paid once — the runner's infrastructure memos share generated
     workloads and resolved configs across policies (and, through the
-    decode cache memoized on each Program, the static decode), and the
-    whole batch runs under :func:`batch_gc_tuning`.  Already-memoized
-    points are skipped.  Returns the summaries actually resolved.
+    decode cache memoized on each Program, the static decode).  The
+    garbage collector needs no batch-level tuning: each run drains
+    under the simulator's :func:`~repro.system.simulator.gc_regime` and
+    frees its System when it returns.  Already-memoized points are
+    skipped.  Returns the summaries actually resolved.
     """
     pending = [p for p in dict.fromkeys(points) if _runner.memoized(*p) is None]
-    resolved: dict[Point, ResultSummary] = {}
-    if not pending:
-        return resolved
-    with batch_gc_tuning():
-        for point in pending:
-            resolved[point] = _run_point(point)[1]
-    return resolved
+    return {point: _run_point(point)[1] for point in pending}
 
 
 #: Times :func:`prefetch` will replace a broken worker pool before
@@ -268,10 +229,11 @@ def prefetch(
     Every resolved summary is deposited into the in-process memo, so
     subsequent ``run_benchmark`` calls are hits.  The serial path is
     :func:`run_batch`; with several misses and workers, the pool is
-    sized to the misses, and each worker applies the same GC tuning
-    once at startup and runs its share of points as an in-process batch
-    of its own.  Returns the summaries of the points that were actually
-    resolved, disk hits included.
+    sized to the misses, and each worker runs its share of points as an
+    in-process batch of its own, with the host's GC settings (the
+    simulator holds its own regime while a run drains).  Returns the
+    summaries of the points that were actually resolved, disk hits
+    included.
 
     A crashed worker (OOM kill, SIGKILL, segfault) breaks the whole
     ``ProcessPoolExecutor`` — every in-flight future, not just the
@@ -296,8 +258,7 @@ def prefetch(
         broke = False
         try:
             with ProcessPoolExecutor(
-                max_workers=min(jobs, len(remaining)),
-                initializer=_tune_gc_for_simulation,
+                max_workers=min(jobs, len(remaining))
             ) as pool:
                 futures = {pool.submit(_run_point, p): p for p in remaining}
                 for future in as_completed(futures):

@@ -149,6 +149,20 @@ class EventQueue:
             + (len(self._micro) - self._micro_pos)
         )
 
+    def discard(self) -> None:
+        """Drop every pending entry, and with it every callback it holds.
+
+        For a finished run only: the clock stays where it is, but
+        nothing that was posted will ever run.
+        """
+        self._heap.clear()
+        self._micro.clear()
+        self._micro_pos = 0
+        for bucket in self._ring:
+            bucket.clear()
+        self._ring_pos = [0] * RING_CYCLES
+        self._ring_count = 0
+
     def idle_now(self) -> bool:
         """True when no entry (even a cancelled one) is pending at ``now``.
 

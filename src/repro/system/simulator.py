@@ -11,8 +11,10 @@ examples and the benchmark harness.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from repro.common.config import SystemConfig, icelake_config
 from repro.common.errors import ConfigError, DeadlockError, SimulationError
@@ -29,6 +31,35 @@ from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.attach import Observability
+
+#: (gen0, gen1, gen2) cyclic-collector thresholds while a run drains.
+GC_THRESHOLDS = (50_000, 25, 25)
+
+
+@contextmanager
+def gc_regime() -> Iterator[None]:
+    """Hold the cyclic collector off: :data:`GC_THRESHOLDS` inside.
+
+    A run allocates millions of short-lived objects (instructions,
+    event tuples, messages) and frees them all by reference counting:
+    squashes drop their back-references (``OutOfOrderCore._squash_from``)
+    and :func:`run_workload` unwires the finished System.  At the
+    default gen-0 threshold (700) the collector would still walk the
+    live young objects a thousand times per 32-core point and find
+    nothing.  Re-entrant (a run inside a batch that already holds the
+    regime changes nothing), restored on exit and on error, and the
+    heap is neither collected nor frozen on entry, so a tiny run costs
+    nothing extra.
+    """
+    previous = gc.get_threshold()
+    if previous == GC_THRESHOLDS:
+        yield
+        return
+    gc.set_threshold(*GC_THRESHOLDS)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*previous)
 
 
 @dataclass
@@ -215,7 +246,8 @@ class System:
 
         for core in self.cores:
             core.on_finished = core_finished
-        outcome = self.queue.drain(remaining, self.config.max_cycles)
+        with gc_regime():
+            outcome = self.queue.drain(remaining, self.config.max_cycles)
         if outcome == 1:
             if any(core.parked for core in self.cores):
                 # A parked core spins forever with no wake in flight:
@@ -284,6 +316,36 @@ class System:
             },
         )
 
+    def _unwire(self) -> None:
+        """Break the references between this finished System's parts.
+
+        The components point at each other (cores and hierarchies hold
+        the queue, the queue holds their bound-method callbacks, the
+        network holds every endpoint's handler, each directory bank
+        holds views that point back at it, and so on), so a dead System
+        is one large reference cycle that only the cyclic collector
+        could free.  Dropping the pending events, the directory views,
+        the observer link and the instance state of the network,
+        directory, cores, hierarchies and spin fast-forward engines
+        leaves nothing cyclic, and reference counting frees it all at
+        once.  What the :class:`SimulationResult` carries (stats,
+        memory, config, traces, health) is untouched, and so is an
+        attached :class:`~repro.obs.attach.Observability`.  Only for a
+        System nobody else holds: :func:`run_workload` calls it.
+        """
+        self.queue.discard()
+        self.obs = None
+        for bank in self.directory._banks:
+            bank.views = []
+        parts = [self.network, self.directory]
+        for core in self.cores:
+            parts.append(core)
+            parts.append(core.hierarchy)
+            if core._spinff is not None:
+                parts.append(core._spinff)
+        for part in parts:
+            vars(part).clear()
+
     def _raise_deadlock(self, unfinished: set[int]) -> None:
         details = []
         for index in sorted(unfinished):
@@ -307,11 +369,21 @@ def run_workload(
     trace: bool = False,
     observability: "Optional[Observability]" = None,
 ) -> SimulationResult:
-    """Build a :class:`System` for ``workload`` and run it."""
-    return System(
+    """Build a :class:`System` for ``workload``, run it, and free it.
+
+    The System is unwired after the run (see :meth:`System._unwire`),
+    so it is freed at once instead of waiting for a full collection.
+    A caller that wants to inspect the System after its run builds
+    one and calls :meth:`System.run` itself.
+    """
+    system = System(
         workload,
         policy=policy,
         config=config,
         trace=trace,
         observability=observability,
-    ).run()
+    )
+    try:
+        return system.run()
+    finally:
+        system._unwire()

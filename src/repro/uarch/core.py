@@ -1927,6 +1927,15 @@ class OutOfOrderCore:
         self.sq.squash_from(seq)
         for instr in squashed:
             instr.squashed = True
+            # Drop the back-references (consumer <-> producer, waiter
+            # closures) so the squashed suffix is freed by reference
+            # counting here, not left for the cyclic collector.  Rebind,
+            # never clear in place: a wakeup loop further up the stack
+            # may still be iterating one of these lists.
+            instr.dependents = None
+            instr.prev_producer = None
+            instr.data_waiters = None
+            instr.perform_waiters = None
             if instr.dec.store_like:
                 self.storeset.forget(instr)
         # Both deques are program-ordered and everything squashed is a

@@ -8,7 +8,13 @@ active :class:`~repro.core.policy.AtomicPolicy`).
 
 Squash safety: events scheduled on behalf of an instruction check
 ``instr.squashed`` (and that the instruction object is still the one the
-event was created for — sequence numbers are never reused).
+event was created for — sequence numbers are never reused).  A squash
+also drops the instruction's back-references (``dependents``,
+``prev_producer``, ``data_waiters``, ``perform_waiters``; see
+``OutOfOrderCore._squash_from``), so a squashed instruction is in no
+reference cycle and is freed by reference counting once its last
+pending event has run.  Nothing needs them after the rename rollback:
+every wakeup path skips squashed consumers and waiters.
 
 Hot-path design: one ``DynInstr`` is created per fetched instruction, so
 the constructor avoids per-instance work wherever the answer is shared

@@ -101,11 +101,11 @@ class TestBatchRunner:
         assert run_batch([POINT]) == {}
 
     def test_gc_tuning_restores_host_state(self):
-        from repro.analysis.engine import _BATCH_GC_THRESHOLDS
+        from repro.system.simulator import GC_THRESHOLDS
 
         before = gc.get_threshold()
         with batch_gc_tuning():
-            assert gc.get_threshold() == _BATCH_GC_THRESHOLDS
+            assert gc.get_threshold() == GC_THRESHOLDS
         assert gc.get_threshold() == before
 
 
