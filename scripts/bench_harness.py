@@ -27,8 +27,7 @@ per-metric percentage delta.  ``--fail-threshold PCT`` (implies
 ``--compare``) exits non-zero when any metric in ``GATED_METRICS``
 (kernel events, core events, and the full-sweep ``sim_cycles_per_sec``)
 regressed by more than PCT percent; CI uses this as the
-perf-regression gate, on both the batched default and the
-``REPRO_NO_FASTPATH=1`` leg.
+perf-regression gate.
 
 Usage::
 
@@ -42,7 +41,7 @@ recorded under ``paper_points`` with the spin fast-forward diagnostics;
 the canneal point doubles as the flat ``paper_point_seconds`` metric,
 and the same point with ``Observability(ObsConfig())`` attached is
 ``observed_point_seconds``.  ``--fail-threshold`` gates both
-lower-is-better (skipped on the ``REPRO_NO_FASTPATH=1`` leg).  ``--scale paper`` runs the whole sweep
+lower-is-better.  ``--scale paper`` runs the whole sweep
 at the 32-thread machine width — all three benchmarks, now that the
 spin fast-forward engine parks barrier-spinning cores (the preset used
 to be canneal-only; see ``PAPER_BENCHMARKS``).  ``--benchmarks A,B``
@@ -79,10 +78,7 @@ GATED_METRICS = (
 #: Gated metrics where smaller is better (wall seconds rather than
 #: rates).  ``paper_point_seconds`` guards the spin fast-forward win:
 #: losing it would push the canneal paper point back toward the
-#: pre-parking baseline.  Skipped on the ``REPRO_NO_FASTPATH=1``
-#: compare leg — that leg disables the very mechanism the metric
-#: measures, so it can never meet a baseline recorded with it on.
-#: ``observed_point_seconds`` is the same point observed: it guards
+#: pre-parking baseline.  ``observed_point_seconds`` is the same point observed: it guards
 #: observation keeping the batched core legs and spin fast-forward on.
 GATED_SECONDS_METRICS = ("paper_point_seconds", "observed_point_seconds")
 
@@ -396,14 +392,11 @@ def main() -> int:
     if args.compare:
         # The gate only tracks the canneal point (lower is better; see
         # GATED_SECONDS_METRICS); the full per-benchmark paper points
-        # ride along on recording runs only.  The REPRO_NO_FASTPATH leg
-        # skips it: with the fast-forward engine off the point can never
-        # meet a baseline recorded with it on.
-        if not os.environ.get("REPRO_NO_FASTPATH"):
-            seconds, _ = paper_point("canneal")
-            record["metrics"]["paper_point_seconds"] = round(seconds, 3)
-            seconds, _ = paper_point("canneal", observed=True)
-            record["metrics"]["observed_point_seconds"] = round(seconds, 3)
+        # ride along on recording runs only.
+        seconds, _ = paper_point("canneal")
+        record["metrics"]["paper_point_seconds"] = round(seconds, 3)
+        seconds, _ = paper_point("canneal", observed=True)
+        record["metrics"]["observed_point_seconds"] = round(seconds, 3)
     else:
         # Dedicated 32-core points (the paper's machine width), one per
         # benchmark, each with the fast-forward diagnostics that prove

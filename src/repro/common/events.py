@@ -31,11 +31,6 @@ hundreds of thousands of per-instruction events per run, and passing the
 instruction as a stored argument instead of closing over it skips a
 closure (plus cell) allocation per event — the drain loops invoke
 ``callback(arg)`` directly off the queue entry.
-
-:meth:`EventQueue.call_soon` is the zero-entry completion path: when
-:meth:`idle_now` holds, it registers a callback that runs immediately
-after the in-flight event returns, with no queue entry at all — see the
-method docstring for the exactness argument.
 """
 
 from __future__ import annotations
@@ -92,8 +87,6 @@ class EventQueue:
         "_ring_pos",
         "_ring_count",
         "_ring_next",
-        "_micro",
-        "_micro_pos",
         "warp_jumps",
         "_index_cycles",
         "_index_orders",
@@ -110,12 +103,6 @@ class EventQueue:
         #: call was measurable.  External writers would desynchronize
         #: the clock — read-only by convention.
         self.now = 0
-        # Microtasks: (callback, arg_or_None) pairs for the *current*
-        # cycle, run FIFO before any ring/heap entry (see call_soon for
-        # why that is exact).  Consumed by index to keep the drain
-        # allocation-free.
-        self._micro: list[tuple] = []
-        self._micro_pos = 0
         # Ring bucket b holds entries for exactly one in-flight cycle c
         # with c & _RING_MASK == b (no two pending cycles can collide
         # because ring delays are < RING_CYCLES).  Entries are
@@ -143,11 +130,7 @@ class EventQueue:
         self._spliced_posts: dict = {}
 
     def __len__(self) -> int:
-        return (
-            len(self._heap)
-            + self._ring_count
-            + (len(self._micro) - self._micro_pos)
-        )
+        return len(self._heap) + self._ring_count
 
     def discard(self) -> None:
         """Drop every pending entry, and with it every callback it holds.
@@ -156,58 +139,10 @@ class EventQueue:
         nothing that was posted will ever run.
         """
         self._heap.clear()
-        self._micro.clear()
-        self._micro_pos = 0
         for bucket in self._ring:
             bucket.clear()
         self._ring_pos = [0] * RING_CYCLES
         self._ring_count = 0
-
-    def idle_now(self) -> bool:
-        """True when no entry (even a cancelled one) is pending at ``now``.
-
-        This is the legality guard for :meth:`call_soon`: when the
-        current cycle has no other pending work, completing a delay-0
-        callback through the microtask slot is indistinguishable from
-        posting it.
-        """
-        if self._micro_pos < len(self._micro):
-            return False
-        bucket = self._ring[self.now & _RING_MASK]
-        if self._ring_pos[self.now & _RING_MASK] < len(bucket):
-            return False
-        heap = self._heap
-        return not (heap and heap[0][0] == self.now)
-
-    def call_soon(self, callback: Callback) -> None:
-        """Run ``callback`` right after the in-flight event returns.
-
-        The zero-entry completion path: no ``(cycle, order)`` tuple, no
-        ring append, no order-counter tick — just a list append, drained
-        by the run loops before anything else.
-
-        Only call this when :meth:`idle_now` holds.  Then it is *exactly*
-        equivalent to ``post(0, callback)``: with nothing else pending at
-        ``now``, the posted callback would be the very next thing the
-        loop runs, and anything posted at ``now`` afterwards carries a
-        larger order counter, so it drains after the microtasks either
-        way.  (It is NOT equivalent to invoking ``callback`` inline:
-        the caller of the completing component may sit inside a loop —
-        fetch, dispatch, store-waiter wakeup — whose remaining
-        iterations must run first, exactly as they would with a posted
-        event.)
-        """
-        self._micro.append((callback, None))
-
-    def call_soon1(self, callback: Callable, arg) -> None:
-        """:meth:`call_soon` with one stored argument (``post1``'s twin).
-
-        Same legality rule (only when :meth:`idle_now` holds); ``arg``
-        must not be None.  The hierarchy's zero-latency hit path hands
-        the instruction through here so the core never allocates a
-        closure per satisfied memory request.
-        """
-        self._micro.append((callback, arg))
 
     def schedule(self, delay: int, callback: Callback) -> Event:
         """Schedule ``callback`` ``delay`` cycles from now; cancellable."""
@@ -346,9 +281,6 @@ class EventQueue:
         for cycle, order, callback, arg, handle in self._heap:
             yield (cycle, order, callback, arg, handle)
 
-    def micro_pending(self) -> bool:
-        return self._micro_pos < len(self._micro)
-
     def extract_ring(self, predicate) -> list:
         """Remove every live ring entry matching ``predicate`` and return
         them as ``(due_cycle, order, callback, arg)`` in (due, bucket
@@ -462,18 +394,6 @@ class EventQueue:
 
         Returns False when the queue is empty.
         """
-        micro = self._micro
-        if micro:
-            p = self._micro_pos
-            callback, arg = micro[p]
-            p += 1
-            if p == len(micro):
-                micro.clear()
-                self._micro_pos = 0
-            else:
-                self._micro_pos = p
-            callback() if arg is None else callback(arg)
-            return True
         heap = self._heap
         while True:
             if self._ring_count:
@@ -526,22 +446,11 @@ class EventQueue:
         ``run_next``'s internal skip loop does.
         """
         heap = self._heap
-        micro = self._micro
         ring = self._ring
         pos = self._ring_pos
         heappop = heapq.heappop
         while counter[0]:
-            if micro:
-                p = self._micro_pos
-                callback, arg = micro[p]
-                p += 1
-                if p == len(micro):
-                    micro.clear()
-                    self._micro_pos = 0
-                else:
-                    self._micro_pos = p
-                callback() if arg is None else callback(arg)
-            elif self._ring_count:
+            if self._ring_count:
                 # _scan_ring, inlined (hot loop: one call frame per event
                 # was measurable).  Resumes from _ring_next; every bucket
                 # skipped stays skipped until a post pulls the cursor back.
@@ -603,13 +512,7 @@ class EventQueue:
         queue was empty.
         """
         heap = self._heap
-        micro = self._micro
-        if micro:
-            # Pending microtasks belong to the current cycle by
-            # construction (call_soon requires idle_now), so it is the
-            # earliest pending cycle.
-            cycle = self.now
-        elif self._ring_count:
+        if self._ring_count:
             cycle = self._scan_ring()
             if heap and heap[0][0] < cycle:
                 cycle = heap[0][0]
@@ -619,27 +522,13 @@ class EventQueue:
             return None
         if cycle != self.now:
             self._advance(cycle)
-        # Priority within the cycle: microtasks (always oldest — they
-        # could only be registered while nothing else was pending at
-        # now), then heap (posted >= RING_CYCLES earlier than any ring
-        # entry, so smaller order), then ring.  Callbacks may register
-        # new microtasks, hence the re-check after each entry.
+        # Priority within the cycle: heap (posted >= RING_CYCLES earlier
+        # than any ring entry, so smaller order), then ring.
         pop = heapq.heappop
         b = cycle & _RING_MASK
         bucket = self._ring[b]
         pos = self._ring_pos
         while True:
-            if micro:
-                p = self._micro_pos
-                callback, arg = micro[p]
-                p += 1
-                if p == len(micro):
-                    micro.clear()
-                    self._micro_pos = 0
-                else:
-                    self._micro_pos = p
-                callback() if arg is None else callback(arg)
-                continue
             if heap and heap[0][0] == cycle:
                 _cycle, _order, callback, arg, handle = pop(heap)
                 if handle is None or not handle.cancelled:
@@ -661,19 +550,7 @@ class EventQueue:
     def run_until(self, limit_cycle: int) -> None:
         """Run all events scheduled at or before ``limit_cycle``."""
         heap = self._heap
-        micro = self._micro
         while True:
-            if micro:
-                p = self._micro_pos
-                callback, arg = micro[p]
-                p += 1
-                if p == len(micro):
-                    micro.clear()
-                    self._micro_pos = 0
-                else:
-                    self._micro_pos = p
-                callback() if arg is None else callback(arg)
-                continue
             if self._ring_count:
                 ring_cycle = self._scan_ring()
                 if heap and heap[0][0] <= ring_cycle:

@@ -16,17 +16,12 @@ The hardware's four CAM searches map to these methods:
    capture the lock (lock_on_access / do_not_unlock transfer).
 4. seqNum search (flush / re-schedule): :meth:`squash_from`.
 
-Searches 1–3 are the memory system's per-request hot path (the
-hierarchy consults them through its LockView on every access and
-replacement decision), so the queue keeps incrementally maintained
-indexes: per-line / per-(set,way) / per-set lock *counts* — counts, not
-sets, because two entries can legitimately hold the same line at once
-during a do_not_unlock transfer window — and a source-store -> entries
-map for the SQid broadcast.  The indexes are updated inside
-:meth:`AtomicQueueEntry.lock` / :meth:`~AtomicQueueEntry.release` and
-the ``source_store`` property setter, so direct mutations (as the unit
-tests perform) keep them exact.  ``REPRO_NO_FASTPATH=1`` (read at
-construction) routes the searches through the original linear scans.
+Each search is a plain scan of the entries: the queue holds
+``aq_entries`` entries (4 by default, never more than the L1D ways), so
+a scan touches a handful at most, and incrementally maintained
+lock-count and SQid indexes measured no faster.  Two entries can
+legitimately hold the same line at once during a do_not_unlock transfer
+window, which the scans handle for free.
 
 Entries store the line number alongside set/way purely as a simulator
 convenience (the hardware needs only set/way; the line is recoverable
@@ -35,7 +30,6 @@ from the tag array).
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterator, Optional
 
 #: Shared empty result for locked_l1_ways (read-only by contract).
@@ -52,7 +46,7 @@ class AtomicQueueEntry:
     """One AQ entry: Locked bit, L1D set/way, seqNum, SQid (section 4.1)."""
 
     __slots__ = ("instr", "seq", "locked", "set_index", "way", "line",
-                 "_source_store", "chain_depth", "_owner")
+                 "source_store", "chain_depth", "_owner")
 
     def __init__(
         self, instr: DynInstr, owner: Optional["AtomicQueue"] = None
@@ -64,29 +58,12 @@ class AtomicQueueEntry:
         self.way: Optional[int] = None
         self.line: Optional[int] = None
         #: The store this atomic forwarded from (the SQid field), if any.
-        self._source_store: Optional[DynInstr] = None
+        self.source_store: Optional[DynInstr] = None
         #: Consecutive-forwarding depth, for the chain bound (3.3.4).
         self.chain_depth = 0
-        #: Owning queue, for index maintenance (None once deallocated or
-        #: for free-standing entries).
+        #: Owning queue, whose probe sees lock and unlock (None once
+        #: deallocated or for free-standing entries).
         self._owner = owner
-
-    @property
-    def source_store(self) -> Optional[DynInstr]:
-        return self._source_store
-
-    @source_store.setter
-    def source_store(self, store: Optional[DynInstr]) -> None:
-        old = self._source_store
-        if old is store:
-            return
-        self._source_store = store
-        owner = self._owner
-        if owner is not None:
-            if old is not None:
-                owner._unmap_source(old, self)
-            if store is not None:
-                owner._map_source(store, self)
 
     def lock(self, line: int, set_index: int, way: int) -> None:
         if self.locked and self._owner is not None:  # pragma: no cover
@@ -107,7 +84,7 @@ class AtomicQueueEntry:
         state = (
             f"locked {self.line:#x}@s{self.set_index}w{self.way}"
             if self.locked
-            else ("forwarded" if self._source_store is not None else "idle")
+            else ("forwarded" if self.source_store is not None else "idle")
         )
         return f"AQEntry(seq={self.seq}, {state})"
 
@@ -127,70 +104,21 @@ class AtomicQueue:
         #: Called with a line number when its last lock is lifted; wired
         #: to PrivateHierarchy.notify_unlock so deferred requests replay.
         self._on_fully_unlocked = on_fully_unlocked
-        self._fast = os.environ.get("REPRO_NO_FASTPATH") != "1"
-        # Lock-count indexes (see module docstring).
-        self._line_locks: dict[int, int] = {}
-        self._setway_locks: dict[tuple[int, int], int] = {}
-        self._set_way_counts: dict[int, dict[int, int]] = {}
-        self._locked_count = 0
-        self._by_source: dict[DynInstr, list[AtomicQueueEntry]] = {}
         #: The core's probe table (lock / unlock), None unless observed.
         self.probe = None
 
     # ------------------------------------------------------------------
-    # index maintenance (called from the entry's mutators)
+    # probe points (called from the entry's mutators)
 
     def _on_entry_locked(self, entry: AtomicQueueEntry) -> None:
-        line, set_index, way = entry.line, entry.set_index, entry.way
-        self._locked_count += 1
-        self._line_locks[line] = self._line_locks.get(line, 0) + 1
-        key = (set_index, way)
-        self._setway_locks[key] = self._setway_locks.get(key, 0) + 1
-        ways = self._set_way_counts.setdefault(set_index, {})
-        ways[way] = ways.get(way, 0) + 1
         probe = self.probe
         if probe is not None and probe.lock is not None:
             probe.lock(entry)
 
     def _on_entry_released(self, entry: AtomicQueueEntry) -> None:
-        line, set_index, way = entry.line, entry.set_index, entry.way
-        self._locked_count -= 1
-        count = self._line_locks[line] - 1
-        if count:
-            self._line_locks[line] = count
-        else:
-            del self._line_locks[line]
-        key = (set_index, way)
-        count = self._setway_locks[key] - 1
-        if count:
-            self._setway_locks[key] = count
-        else:
-            del self._setway_locks[key]
-        ways = self._set_way_counts[set_index]
-        count = ways[way] - 1
-        if count:
-            ways[way] = count
-        else:
-            del ways[way]
-            if not ways:
-                del self._set_way_counts[set_index]
         probe = self.probe
         if probe is not None and probe.unlock is not None:
             probe.unlock(entry)
-
-    def _map_source(self, store: DynInstr, entry: AtomicQueueEntry) -> None:
-        bucket = self._by_source.get(store)
-        if bucket is None:
-            self._by_source[store] = [entry]
-        else:
-            bucket.append(entry)
-
-    def _unmap_source(self, store: DynInstr, entry: AtomicQueueEntry) -> None:
-        bucket = self._by_source[store]
-        if len(bucket) == 1:
-            del self._by_source[store]
-        else:
-            bucket.remove(entry)
 
     # ------------------------------------------------------------------
     # allocation / deallocation
@@ -227,7 +155,7 @@ class AtomicQueue:
         line = entry.line
         was_locked = entry.locked
         entry.release()
-        entry.source_store = None  # drop any stale SQid mapping
+        entry.source_store = None
         entry._owner = None
         if was_locked and line is not None and not self.is_line_locked(line):
             self._on_fully_unlocked(line)
@@ -236,105 +164,37 @@ class AtomicQueue:
     # search 1 & 2: locked lines / locked ways
 
     def is_line_locked(self, line: int) -> bool:
-        if self._fast:
-            return line in self._line_locks
-        return any(e.locked and e.line == line for e in self._entries)
+        for entry in self._entries:
+            if entry.locked and entry.line == line:
+                return True
+        return False
 
     def is_locked_setway(self, set_index: int, way: int) -> bool:
-        if self._fast:
-            return (set_index, way) in self._setway_locks
-        return any(
-            e.locked and e.set_index == set_index and e.way == way
-            for e in self._entries
-        )
+        for entry in self._entries:
+            if entry.locked and entry.set_index == set_index and entry.way == way:
+                return True
+        return False
 
     def locked_l1_ways(self, set_index: int) -> set[int]:
-        if self._fast:
-            ways = self._set_way_counts.get(set_index)
-            # Callers only probe membership; the shared constant keeps
-            # the no-locks common case allocation-free.
-            return set(ways) if ways else _EMPTY_WAYS
-        return {
-            e.way  # type: ignore[misc]
-            for e in self._entries
-            if e.locked and e.set_index == set_index
-        }
+        ways = _EMPTY_WAYS
+        for entry in self._entries:
+            if entry.locked and entry.set_index == set_index:
+                if ways is _EMPTY_WAYS:
+                    ways = set()
+                ways.add(entry.way)  # type: ignore[arg-type]
+        # Callers only probe membership; the shared constant keeps the
+        # no-locks common case allocation-free.
+        return ways
 
     def locked_lines(self) -> set[int]:
         return {e.line for e in self._entries if e.locked}  # type: ignore[misc]
 
     @property
     def any_locked(self) -> bool:
-        if self._fast:
-            return self._locked_count > 0
-        return any(e.locked for e in self._entries)
-
-    def audit_indexes(self) -> list[str]:
-        """Cross-check the lock-count/SQid indexes against the entries.
-
-        The indexes (line/set-way lock counts, locked total, by-source
-        SQid map) are pure redundancy over the entry list; any
-        divergence is fast-path bookkeeping corruption that would make
-        ``is_line_locked`` / ``locked_l1_ways`` / ``on_store_broadcast``
-        silently wrong.  Returns violation strings (empty = consistent).
-        Part of the online invariant audit (:mod:`repro.mem.invariants`).
-        """
-        problems: list[str] = []
-        line_counts: dict[int, int] = {}
-        setway_counts: dict[tuple[int, int], int] = {}
-        locked = 0
         for entry in self._entries:
             if entry.locked:
-                locked += 1
-                line_counts[entry.line] = line_counts.get(entry.line, 0) + 1
-                key = (entry.set_index, entry.way)
-                setway_counts[key] = setway_counts.get(key, 0) + 1
-        if locked != self._locked_count:
-            problems.append(
-                f"AQ: {locked} locked entries but locked_count={self._locked_count}"
-            )
-        if line_counts != self._line_locks:
-            problems.append(
-                f"AQ: line-lock index {self._line_locks} != actual {line_counts}"
-            )
-        if setway_counts != self._setway_locks:
-            problems.append(
-                f"AQ: set/way index {self._setway_locks} != actual {setway_counts}"
-            )
-        derived_ways = {
-            s: {w: n for (s2, w), n in self._setway_locks.items() if s2 == s}
-            for s in {s for (s, _w) in self._setway_locks}
-        }
-        ways_index = {s: d for s, d in self._set_way_counts.items() if d}
-        if derived_ways != ways_index:
-            problems.append(
-                f"AQ: per-set way counts {ways_index} != derived {derived_ways}"
-            )
-        by_source: dict[int, int] = {}
-        for entry in self._entries:
-            if entry.source_store is not None:
-                by_source[id(entry.source_store)] = (
-                    by_source.get(id(entry.source_store), 0) + 1
-                )
-        mapped = {
-            id(store): len(bucket)
-            for store, bucket in self._by_source.items()
-            if bucket
-        }
-        if by_source != mapped:
-            problems.append(
-                "AQ: SQid map disagrees with entries "
-                f"(mapped sizes {sorted(mapped.values())}, "
-                f"actual {sorted(by_source.values())})"
-            )
-        for store, bucket in self._by_source.items():
-            for entry in bucket:
-                if entry.source_store is not store:
-                    problems.append(
-                        f"AQ: SQid bucket for store seq={store.seq} holds "
-                        f"entry seq={entry.seq} with a different source"
-                    )
-        return problems
+                return True
+        return False
 
     def oldest_locked_entry(self) -> Optional[AtomicQueueEntry]:
         """Watchdog flush point: the oldest *squashable* lock holder.
@@ -363,16 +223,6 @@ class AtomicQueue:
         the unlock-then-lock transfer that realizes do_not_unlock for a
         forwarding store_unlock (section 4.2).
         """
-        if self._fast:
-            bucket = self._by_source.get(store)
-            if not bucket:
-                return
-            # Copy: clearing source_store edits the bucket in place.
-            for entry in list(bucket):
-                entry.lock(line, set_index, way)
-                entry.source_store = None
-                self._stats.bump("lock_captures")
-            return
         for entry in self._entries:
             if entry.source_store is store:
                 entry.lock(line, set_index, way)
@@ -391,10 +241,8 @@ class AtomicQueue:
         the searches; if that leaves the line with no lock, deferred
         remote requests are replayed.
 
-        Flushed entries keep their ``source_store`` (and their owner
-        backref, so clearing it later maintains the SQid map) because
-        the caller still needs it to revoke the forwarding
-        responsibility.
+        Flushed entries keep their ``source_store`` because the caller
+        still needs it to revoke the forwarding responsibility.
         """
         flushed = [e for e in self._entries if e.seq >= seq]
         if not flushed:

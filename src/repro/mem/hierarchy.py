@@ -14,22 +14,16 @@ Responsibilities:
 Inclusion: L1D ⊆ L2.  Evicting an L2 line back-invalidates the L1 copy,
 which is why L2 victim selection also excludes lines locked in the L1.
 
-Hot-path design (see ARCHITECTURE.md, hot-path invariants): an L1 hit
-with a zero configured hit latency completes with *no event-queue entry
-at all* — the callback goes through :meth:`EventQueue.call_soon`, which
-runs it right after the in-flight event returns.  Legal only when the
-queue confirms nothing else is pending at the current cycle, which makes
-the shortcut exactly identical to posting a delay-0 callback (the
-callback is deliberately NOT invoked inline: the requester may sit
-inside a fetch/dispatch/wakeup loop whose remaining iterations must run
-first).  ``REPRO_NO_FASTPATH=1`` disables every shortcut so equivalence
-can be asserted A/B in tests.  Internal fill completions with no
-continuation skip the queue entirely.
+Every completion is a posted event: a hit posts its callback at the
+configured hit latency (never invoked inline, even at latency 0 — the
+requester may sit inside a fetch/dispatch/wakeup loop whose remaining
+iterations must run first), and a fill posts one event per merged MSHR
+waiter.  Callbacks receive the requester's argument through the queue
+entry (``post1``), so no closure is built per request.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.common.config import MemoryConfig
@@ -50,7 +44,7 @@ FILL_RETRY_CYCLES = 8
 
 
 def _noop() -> None:
-    """Shared no-effect continuation (identity-compared by fast paths)."""
+    """Shared no-effect continuation (prefetches, internal fills)."""
 
 
 class LockView(Protocol):
@@ -122,12 +116,6 @@ class PrivateHierarchy:
         self._l2 = CacheArray(memory_config.l2)
         self._l1_hit_latency = memory_config.l1d.hit_latency
         self._l2_hit_latency = memory_config.l2.hit_latency
-        #: REPRO_NO_FASTPATH=1 is the A/B escape hatch disabling every
-        #: hot-path shortcut (used by the equivalence tests).
-        self._shortcuts = os.environ.get("REPRO_NO_FASTPATH") != "1"
-        #: Zero-entry hit completion is additionally only legal at zero
-        #: configured L1 hit latency (no simulated time may pass).
-        self._fastpath = self._shortcuts and self._l1_hit_latency == 0
         self._state: Dict[int, MESIState] = {}
         #: Bumped on every MESI-state change (grant, downgrade, invalidate,
         #: eviction).  Equal values at two instants prove ``_state`` is
@@ -191,20 +179,6 @@ class PrivateHierarchy:
         if satisfied:
             if self._l1.lookup(line) is not None:
                 self._c_l1_hits.add()
-                # Zero-entry fast path.  Legal only when (a) the
-                # configured L1 hit latency is 0, so no simulated time
-                # may pass, and (b) no other entry is pending at the
-                # current cycle, so a posted delay-0 callback would run
-                # next with nothing in between — call_soon is then
-                # exactly that, minus the queue entry (see its
-                # docstring for why inline invocation would NOT be
-                # equivalent).
-                if self._fastpath and self._queue.idle_now():
-                    if arg is None:
-                        self._queue.call_soon(callback)
-                    else:
-                        self._queue.call_soon1(callback, arg)
-                    return
                 if arg is None:
                     self._queue.post(self._l1_hit_latency, callback)
                 else:
@@ -256,12 +230,6 @@ class PrivateHierarchy:
 
             self._queue.post(FILL_RETRY_CYCLES, retry)
             return
-        if callback is _noop and latency == 0 and self._shortcuts:
-            # Nothing to run and no time to pass: skip the queue.  (A
-            # popped no-op event has no observable effect, so this is
-            # unconditionally equivalent regardless of hit latency;
-            # gated on REPRO_NO_FASTPATH so the tests A/B everything.)
-            return
         if arg is None:
             self._queue.post(latency, callback)
         else:
@@ -301,27 +269,9 @@ class PrivateHierarchy:
             MessageKind.UNBLOCK, line, self.core_id, DIRECTORY_NODE
         )
         self._install(line)
-        waiters = mshr.waiters
         fill_latency = self._l1_hit_latency
-        if granted.writable and self._shortcuts:
-            # Every waiter is satisfied and the seed's per-waiter posts
-            # were consecutive (nothing could be posted between them), so
-            # one batch event running them back-to-back at the first
-            # post's position is exactly order-equivalent: any other
-            # event at that cycle has a strictly smaller or larger order
-            # counter and drains entirely before or after the batch.
-            if len(waiters) == 1:
-                need_write, callback, arg = waiters[0]
-                if arg is None:
-                    self._queue.post(fill_latency, callback)
-                else:
-                    self._queue.post1(fill_latency, callback, arg)
-                self._recycle_mshr(mshr)
-            else:
-                self._queue.post1(fill_latency, self._run_waiters_cb, mshr)
-            return
         unsatisfied: Optional[List[tuple]] = None
-        for waiter in waiters:
+        for waiter in mshr.waiters:
             if waiter[0] and not granted.writable:
                 if unsatisfied is None:
                     unsatisfied = []
@@ -335,15 +285,6 @@ class PrivateHierarchy:
                 # The grant was only S but this waiter needs write
                 # permission: go around again with a GetX (upgrade).
                 self._access(line, need_write=True, callback=callback, arg=arg)
-        self._recycle_mshr(mshr)
-
-    def _run_waiters_cb(self, mshr: _Mshr) -> None:
-        """Batched MSHR completion: run all merged waiters in order."""
-        for need_write, callback, arg in mshr.waiters:
-            if arg is None:
-                callback()
-            else:
-                callback(arg)
         self._recycle_mshr(mshr)
 
     def _recycle_mshr(self, mshr: _Mshr) -> None:

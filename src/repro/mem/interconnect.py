@@ -9,12 +9,8 @@ FIFO, which the coherence protocol relies on.
 The crossbar is *banked* by line address: ``bank_of(line) = line %
 num_banks`` statically routes every message of a line through one bank
 (O(1), no arbitration state).  Banking is purely structural — the timing
-model (injection serialization + fixed latency) is unchanged — but it
-shards the delivery bookkeeping so each bank keeps one *open batch* per
-target cycle: messages from the same bank landing on the same cycle ride
-in one event-queue entry and drain as one list walk instead of one event
-each.  The piggyback is exact (see :meth:`Interconnect.send`) and is
-disabled along with every other shortcut by ``REPRO_NO_FASTPATH=1``.
+model (injection serialization + fixed latency) is unchanged.  Every
+message is delivered by its own event-queue entry.
 
 Hot-path design: :meth:`Interconnect.send_msg` allocates the
 :class:`CoherenceMessage` from a free-list pool and recycles it right
@@ -39,7 +35,7 @@ import os
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.common.events import _RING_MASK, RING_CYCLES, EventQueue
+from repro.common.events import EventQueue
 from repro.common.stats import StatsRegistry
 from repro.mem.coherence import CoherenceMessage, MessageKind
 
@@ -82,12 +78,6 @@ class Interconnect:
         self._next_inject: List[int] = [0]
         # Free list of recycled CoherenceMessages (see send_msg/release).
         self._pool: list[CoherenceMessage] = []
-        #: One open batch per bank: (target_cycle, ring_bucket,
-        #: bucket_len_at_post, messages).  See ``send`` for the exactness
-        #: condition that allows appending to an open batch.
-        self._open: list[Optional[tuple]] = [None] * banks
-        self._batch_pool: list[list] = []
-        self._batching = os.environ.get("REPRO_NO_FASTPATH") != "1"
         #: REPRO_POOL_DEBUG=1 turns on retain/release leak tracking.
         self.debug_leaks = os.environ.get("REPRO_POOL_DEBUG") == "1"
         self._retained_live: dict[int, CoherenceMessage] = {}
@@ -141,18 +131,7 @@ class Interconnect:
         self.send(message)
 
     def send(self, message: CoherenceMessage) -> None:
-        """Inject a message; it is delivered after injection + latency.
-
-        Batching exactness: a message due at cycle ``C`` may join bank
-        ``b``'s open batch for ``C`` only while the calendar-ring bucket
-        of ``C`` has not grown since the batch's event was posted.  Then
-        no other event can sort between the batch members — ring entries
-        appended later carry larger order counters and drain after the
-        batch event, heap entries at ``C`` were posted >= RING_CYCLES
-        cycles earlier and drain before it, and microtasks cannot target
-        a future cycle — so running the members back-to-back inside one
-        event reproduces the one-event-per-message order bit-for-bit.
-        """
+        """Inject a message; it is delivered after injection + latency."""
         index = message.dst + 1
         handlers = self._handlers
         if index >= len(handlers) or handlers[index] is None:
@@ -174,52 +153,21 @@ class Interconnect:
         if watchers is not None:
             hook = watchers.get(message.dst)
             if hook is not None:
-                # Fires before the delivery is posted (and before any
-                # batch append), so a wakeup the hook schedules for this
-                # cycle's lap boundary drains ahead of the delivery —
-                # transit is >= latency >= the spin period, so the
-                # parked core is always live again before the message
-                # lands.
+                # Fires before the delivery is posted, so a wakeup the
+                # hook schedules for this cycle's lap boundary drains
+                # ahead of the delivery — transit is >= latency >= the
+                # spin period, so the parked core is always live again
+                # before the message lands.
                 hook(message, now, now + delay)
-        if not self._batching or delay >= RING_CYCLES:
-            queue.post1(delay, self._deliver1, message)
-            return
-        cycle = now + delay
-        bank = message.line % self._num_banks
-        open_batch = self._open[bank]
-        if open_batch is not None and open_batch[0] == cycle:
-            bucket, posted_len, messages = open_batch[1], open_batch[2], open_batch[3]
-            if len(bucket) == posted_len:
-                messages.append(message)
-                return
-        batch_pool = self._batch_pool
-        messages = batch_pool.pop() if batch_pool else []
-        messages.append(message)
-        queue.post1(delay, self._deliver_batch, messages)
-        bucket = queue._ring[cycle & _RING_MASK]
-        self._open[bank] = (cycle, bucket, len(bucket), messages)
+        queue.post1(delay, self._deliver, message)
 
-    def _deliver1(self, message: CoherenceMessage) -> None:
+    def _deliver(self, message: CoherenceMessage) -> None:
         self._handlers[message.dst + 1](message)
         if message.retained:
             if self.debug_leaks and message.pooled:
                 self._retained_live[message.msg_id] = message
         elif message.pooled and len(self._pool) < POOL_LIMIT:
             self._pool.append(message)
-
-    def _deliver_batch(self, messages: list) -> None:
-        handlers = self._handlers
-        pool = self._pool
-        for message in messages:
-            handlers[message.dst + 1](message)
-            if message.retained:
-                if self.debug_leaks and message.pooled:
-                    self._retained_live[message.msg_id] = message
-            elif message.pooled and len(pool) < POOL_LIMIT:
-                pool.append(message)
-        messages.clear()
-        if len(self._batch_pool) < 64:
-            self._batch_pool.append(messages)
 
     def release(self, message: CoherenceMessage) -> None:
         """Return a retained message to the pool once it is fully done.

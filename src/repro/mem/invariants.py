@@ -24,9 +24,8 @@ healthy).  Checked invariants:
    exactly the live atomic SQ entries, in sequence order, none
    squashed; the published release version never runs ahead of the
    atomics that have actually left the SQ.
-7. **Fast-path indexes** — the LSQ word/line buckets and the AQ
-   lock-count/SQid indexes exactly mirror the queues they accelerate
-   (``audit_indexes`` on each structure).
+7. **LSQ indexes** — the LQ/SQ word and line buckets exactly mirror
+   the queues they accelerate (``audit_indexes`` on each queue).
 7b. **Directory tables** — the banked struct-of-arrays directory state
    is internally consistent: every ``_entries`` view points at a live
    slot in the bank that owns its line's set, set residency lists and
@@ -69,7 +68,7 @@ def verify_system(
     violations.extend(_check_release_order(system))
     violations.extend(_check_directory(system, strict=strict_directory))
     violations.extend(_check_directory_tables(system))
-    violations.extend(_check_fastpath_indexes(system))
+    violations.extend(_check_lsq_indexes(system))
     violations.extend(_check_parked(system))
     if quiesced:
         violations.extend(_check_quiesced(system))
@@ -401,15 +400,11 @@ def _check_directory_tables(system: "System") -> List[str]:
     return violations
 
 
-def _check_fastpath_indexes(system: "System") -> List[str]:
-    """LSQ/AQ redundant indexes must exactly mirror their queues."""
+def _check_lsq_indexes(system: "System") -> List[str]:
+    """The LSQ's redundant buckets must exactly mirror their queues."""
     violations = []
     for core in system.cores:
-        for problems in (
-            core.lq.audit_indexes(),
-            core.sq.audit_indexes(),
-            core.aq.audit_indexes(),
-        ):
+        for problems in (core.lq.audit_indexes(), core.sq.audit_indexes()):
             violations.extend(
                 f"core {core.core_id}: {problem}" for problem in problems
             )

@@ -337,5 +337,5 @@ class Observability:
         return write_chrome_trace(path, self.chrome_payload())
 
     def event_keys(self) -> list[tuple]:
-        """Stream identity (for the fastpath-equivalence tests)."""
+        """Stream identity (for the golden event-stream tests)."""
         return self.bus.stream_keys()

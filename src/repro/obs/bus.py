@@ -14,7 +14,7 @@ emits into.  It maintains
 plus an optional list of extra sinks (callables) for tests and tools
 that want live fan-out.  Emission order is the deterministic simulator
 event order, so two runs of the same configuration produce identical
-streams — the property the fastpath A/B tests assert.
+streams — the property the golden event-stream tests pin.
 
 Hot emitters resolve their stream once (:meth:`EventBus.stream`) and
 emit on it (:meth:`EventBus.emit_on`), so an event costs no key

@@ -90,8 +90,7 @@ def build_health(
         "lock_hold_cycles": _distribution(list(lock_holds)),
         "forward_chain_depth": _distribution(list(chain_depths)),
         # How the run was simulated, not what it computed: all zeros
-        # whenever the fast-forward engine was off (REPRO_NO_FASTPATH or
-        # REPRO_NO_SPINFF).  Observation leaves the engine on, and
+        # whenever the fast-forward engine was off (REPRO_NO_SPINFF).  Observation leaves the engine on, and
         # skipping changes no other section of this report except the
         # ring's retained/dropped figures (a parked span's events are
         # counted, not retained) and the spinff/* counts.

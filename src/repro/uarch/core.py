@@ -255,16 +255,9 @@ class OutOfOrderCore:
         self._commit_scheduled = False
         self._last_commit_cycle = 0
 
-        # Indexed-ordering fast paths (A/B escape hatch, read once here
-        # like mem.hierarchy does): the bookkeeping below is maintained
-        # either way; only the O(1) queries consult it.  The batched
-        # fetch/commit twins below additionally swap in whole-window
-        # loop bodies; REPRO_NO_FASTPATH=1 keeps the object-at-a-time
-        # originals.
-        self._fast = os.environ.get("REPRO_NO_FASTPATH") != "1"
-        self._fetch_impl = self._fetch_tick_fast if self._fast else self._fetch_tick
-        # pre-bound: posted every commit
-        self._commit_cb = self._commit_tick_fast if self._fast else self._commit_tick
+        # Pre-bound tick callbacks: posted every fetch / commit cycle.
+        self._fetch_cb = self._fetch_tick
+        self._commit_cb = self._commit_tick
 
         # Loop-invariant hot-path prebinds (the batched windows and the
         # per-event callbacks below read these instead of chasing
@@ -294,14 +287,14 @@ class OutOfOrderCore:
         self._loads_waiting_agen: Deque[DynInstr] = deque()
         self._loads_waiting_fence: Deque[DynInstr] = deque()
         #: In-flight fences, program-ordered; the front is the oldest,
-        #: which is all _blocked_by_fence needs.  Commit pops the front,
-        #: squash pops the suffix.
+        #: which is all the load fence gate needs.  Commit pops the
+        #: front, squash pops the suffix.
         self._fences: Deque[DynInstr] = deque()
         #: Atomics currently in the SQ, program-ordered.  An atomic
         #: leaves the SQ exactly when its store_unlock performs, so
         #: every member is unperformed and the front is the oldest
-        #: unperformed atomic — the O(1) answer to
-        #: _blocked_by_fenced_atomic's scan.
+        #: unperformed atomic — the O(1) answer of
+        #: _blocked_by_fenced_atomic.
         self._atomics_sq: Deque[DynInstr] = deque()
 
         # Accounting.
@@ -319,18 +312,16 @@ class OutOfOrderCore:
         #: this core.
         self.probe: Optional[CoreProbe] = None
 
-        # Spin fast-forward (see repro.uarch.spinff).  The engine only
-        # exists on the fast leg (REPRO_NO_FASTPATH=1 runs without it,
-        # which the A/B byte-identity tests rely on); REPRO_NO_SPINFF=1
-        # additionally disables just this engine for isolation.  The
-        # streak counter is the only cost the commit hot path pays when
-        # the core is not spinning.
+        # Spin fast-forward (see repro.uarch.spinff).  REPRO_NO_SPINFF=1
+        # runs without the engine, the reference its byte-identity tests
+        # compare against.  The streak counter is the only cost the
+        # commit hot path pays when the core is not spinning.
         self.parked = False
         self.spin_cycles_skipped = 0
         self.ff_parks = 0
         self._spin_streak = 0
         self._spinff: Optional[SpinFastForward] = None
-        if self._fast and os.environ.get("REPRO_NO_SPINFF") != "1":
+        if os.environ.get("REPRO_NO_SPINFF") != "1":
             self._spinff = SpinFastForward(self)
 
     # ==================================================================
@@ -362,7 +353,7 @@ class OutOfOrderCore:
         self._fetch_scheduled = True
         # The tick's epoch rides along as the stored event argument —
         # no closure object and no wrapper frame per fetch tick.
-        self.queue.post1(delay, self._fetch_impl, self._fetch_epoch)
+        self.queue.post1(delay, self._fetch_cb, self._fetch_epoch)
 
     def _maybe_resume_fetch(self) -> None:
         """Resources freed: resume a dispatch-blocked frontend."""
@@ -371,78 +362,13 @@ class OutOfOrderCore:
             self._schedule_fetch(1)
 
     def _fetch_tick(self, epoch: int) -> None:
-        self._fetch_scheduled = False
-        if epoch != self._fetch_epoch or self.halted or self.finished:
-            return
-        # The whole tick runs synchronously (dispatch handlers never
-        # advance the clock or squash), so pc / next_seq / now live in
-        # locals and are written back on every exit path.
-        decoded = self._decoded
-        last = len(decoded) - 1
-        rob_entries = self._rob_entries
-        rob_capacity = self._rob_capacity
-        now = self.queue.now
-        seq = self.next_seq
-        pc = self.pc
-        c_dispatched = self._c_dispatched
-        table = _DISPATCH_TABLE
-        probe = self.probe
-        on_dispatch = probe.dispatch if probe is not None else None
-        fetched = 0
-        while fetched < self.cfg.fetch_width:
-            # Mirror Program.fetch: wrong-path fetch past either end of
-            # the program resolves to the trailing Halt.
-            dec = decoded[pc] if 0 <= pc < last else decoded[last]
-            kidx = dec.kidx
-            if len(rob_entries) >= rob_capacity:
-                self._c_stall_rob()
-                self.pc = pc
-                self.next_seq = seq
-                self._dispatch_blocked = True
-                return
-            if KIDX_ATOMIC <= kidx <= KIDX_STORE and not self._lsq_room(kidx):
-                self.pc = pc
-                self.next_seq = seq
-                self._dispatch_blocked = True
-                return
-            instr = DynInstr(seq, dec.static, pc, dec.klass, dec)
-            seq += 1
-            if kidx == KIDX_BRANCH:
-                taken = self.predictor.predict(pc, dec.static)
-                instr.pred_taken = taken
-                if taken:
-                    instr.next_pc = dec.target_index
-            # Direct ROB append is safe — room was just checked and fetch
-            # hands out strictly increasing sequence numbers.  No commit
-            # check afterwards: dispatching cannot make the ROB head newly
-            # commit-ready (the only synchronous completions happen inside
-            # the handlers, via _complete, which checks).
-            instr.dispatch_cycle = now
-            rob_entries.append(instr)
-            c_dispatched()
-            table[kidx](self, instr)
-            if on_dispatch is not None:
-                on_dispatch(instr)
-            pc = instr.next_pc
-            fetched += 1
-            if kidx == KIDX_HALT:
-                self.halted = True
-                self.pc = pc
-                self.next_seq = seq
-                return
-        self.pc = pc
-        self.next_seq = seq
-        self._schedule_fetch(1)
+        """Fetch and dispatch one window of up to ``fetch_width`` ops.
 
-    def _fetch_tick_fast(self, epoch: int) -> None:
-        """Batched fast-path twin of :meth:`_fetch_tick`.
-
-        Same per-instruction decisions in the same order — the window
-        loop just hoists every loop-invariant lookup (widths, decode
-        table bounds), tracks ROB room as a local countdown instead of
-        re-measuring the deque, and adds the dispatched counter once for
-        the whole window.  ``REPRO_NO_FASTPATH=1`` keeps the
-        object-at-a-time original above.
+        The window loop hoists every loop-invariant lookup (widths,
+        decode table bounds), tracks ROB room as a local countdown
+        instead of re-measuring the deque, inlines dispatch, rename and
+        issue-slot reservation for the hot classes (ALU, branch, load),
+        and adds the dispatched and issued counters once per window.
         """
         self._fetch_scheduled = False
         if epoch != self._fetch_epoch or self.halted or self.finished:
@@ -455,7 +381,6 @@ class OutOfOrderCore:
         seq = self.next_seq
         pc = self.pc
         width = self._fetch_width
-        table = _DISPATCH_TABLE
         producers = self._producers
         regfile = self._regfile
         bw = self.issue_bw
@@ -510,10 +435,9 @@ class OutOfOrderCore:
                 if taken:
                     instr.next_pc = dec.target_index
             if kidx <= KIDX_BRANCH:
-                # _dispatch_alu/_dispatch_branch, inlined: the two most
-                # frequent classes skip the per-instruction dispatcher
-                # call frame.  Same captures, same subscriber tuples,
-                # same schedule calls as the out-of-line twins.
+                # ALU and branch dispatch, inlined: the two most frequent
+                # classes capture their value sources (as
+                # _capture_sources does) with no call frame.
                 instr.dispatch_cycle = now
                 rob_entries.append(instr)
                 dispatched += 1
@@ -545,10 +469,9 @@ class OutOfOrderCore:
                         snapshot[dst] = producers[dst]
                         producers[dst] = instr
                     if pending == 0:
-                        # _schedule_alu_execute + _issue_slot, inlined
-                        # (queue.now is constant across the fetch tick,
-                        # so the hoisted ``now`` matches what the
-                        # out-of-line twin would read); the issued_ops
+                        # _schedule_alu_execute, inlined (queue.now is
+                        # constant across the fetch tick, so the hoisted
+                        # ``now`` is what it would read); the issued_ops
                         # counter is added once per window below.
                         issued += 1
                         cycle = bw._cycle
@@ -584,14 +507,11 @@ class OutOfOrderCore:
                     instr.issue_cycle = slot
                     post1(slot - now + branch_latency, resolve_branch_cb, instr)
             elif kidx == KIDX_LOAD:
-                # _dispatch_load + rename.claim + _schedule_agen +
-                # _issue_slot, inlined: loads are the hottest class the
-                # dispatch table still served (spin loops are fetch +
-                # load + branch).  Same insert/subscribe/claim order and
-                # the same slot arithmetic as the out-of-line twins;
-                # _lsq_room already guaranteed LQ space, and a freshly
-                # fetched load never has addr_ready, so LoadQueue.insert
-                # reduces to the bare append.
+                # Load dispatch + rename.claim + _schedule_agen, inlined:
+                # spin loops are fetch + load + branch.  The LQ-room
+                # check above guaranteed space, and a freshly fetched
+                # load never has addr_ready, so LoadQueue.insert reduces
+                # to the bare append.
                 instr.dispatch_cycle = now
                 rob_entries.append(instr)
                 dispatched += 1
@@ -638,7 +558,14 @@ class OutOfOrderCore:
                 instr.dispatch_cycle = now
                 rob_entries.append(instr)
                 dispatched += 1
-                table[kidx](self, instr)
+                if kidx == KIDX_STORE:
+                    self._dispatch_store(instr)
+                elif kidx == KIDX_ATOMIC:
+                    self._dispatch_atomic(instr)
+                else:
+                    if kidx == KIDX_FENCE:
+                        self._fences.append(instr)
+                    self._complete(instr)  # FENCE, HALT
             if on_dispatch is not None:
                 on_dispatch(instr)
             pc = instr.next_pc
@@ -678,13 +605,6 @@ class OutOfOrderCore:
             return False
         return True
 
-    def _dispatch_fence(self, instr: DynInstr) -> None:
-        self._fences.append(instr)
-        self._complete(instr)
-
-    def _dispatch_halt(self, instr: DynInstr) -> None:
-        self._complete(instr)
-
     def _capture_sources(self, instr: DynInstr, regs: tuple[int, ...], kind: str) -> None:
         """Resolve source registers now or subscribe to their producers.
 
@@ -711,86 +631,8 @@ class OutOfOrderCore:
                 else:
                     instr.value_pending += 1
 
-    # -- per-class dispatch --------------------------------------------
-    #
-    # The three hottest dispatchers inline _capture_sources (same loop,
-    # same subscriber tuples) — the per-instruction call plus the
-    # kind-string plumbing were measurable.  Store/atomic keep the
-    # shared helper.
-
-    def _dispatch_alu(self, instr: DynInstr) -> None:
-        dec = instr.dec
-        regs = dec.value_regs
-        if regs:
-            producers = self._producers
-            regfile = self._regfile
-            values = instr.src_values
-            pending = 0
-            for reg in regs:
-                producer = producers[reg]
-                if producer is None:
-                    values[reg] = regfile[reg]
-                elif producer.completed:
-                    values[reg] = producer.result  # type: ignore[assignment]
-                else:
-                    subscribers = producer.dependents
-                    if subscribers is None:
-                        subscribers = producer.dependents = []
-                    subscribers.append((instr, "value", reg))
-                    pending += 1
-            if pending:
-                instr.value_pending = pending
-        if dec.dst is not None:
-            self.rename.claim(dec.dst, instr)
-        if instr.value_pending == 0:
-            self._schedule_alu_execute(instr)
-
-    def _dispatch_branch(self, instr: DynInstr) -> None:
-        producers = self._producers
-        regfile = self._regfile
-        values = instr.src_values
-        pending = 0
-        for reg in instr.dec.value_regs:
-            producer = producers[reg]
-            if producer is None:
-                values[reg] = regfile[reg]
-            elif producer.completed:
-                values[reg] = producer.result  # type: ignore[assignment]
-            else:
-                subscribers = producer.dependents
-                if subscribers is None:
-                    subscribers = producer.dependents = []
-                subscribers.append((instr, "value", reg))
-                pending += 1
-        if pending:
-            instr.value_pending = pending
-        else:
-            self._schedule_branch_execute(instr)
-
-    def _dispatch_load(self, instr: DynInstr) -> None:
-        dec = instr.dec
-        self.lq.insert(instr)
-        producers = self._producers
-        regfile = self._regfile
-        values = instr.src_values
-        pending = 0
-        for reg in dec.addr_regs:
-            producer = producers[reg]
-            if producer is None:
-                values[reg] = regfile[reg]
-            elif producer.completed:
-                values[reg] = producer.result  # type: ignore[assignment]
-            else:
-                subscribers = producer.dependents
-                if subscribers is None:
-                    subscribers = producer.dependents = []
-                subscribers.append((instr, "addr", reg))
-                pending += 1
-        if pending:
-            instr.addr_pending = pending
-        self.rename.claim(dec.dst, instr)
-        if pending == 0:
-            self._schedule_agen(instr)
+    # -- store / atomic dispatch (the other classes dispatch inline in
+    # _fetch_tick) -----------------------------------------------------
 
     def _dispatch_store(self, instr: DynInstr) -> None:
         dec = instr.dec
@@ -865,32 +707,10 @@ class OutOfOrderCore:
         else:  # pragma: no cover - no other class captures value sources
             raise AssertionError(f"unexpected value wakeup for {instr}")
 
-    def _issue_slot(self) -> int:
-        """Reserve an issue slot; returns its absolute cycle.
-
-        The BandwidthLimiter.grant logic is inlined (same state, same
-        result) — this runs once per issued µop.
-        """
-        self._c_issued_ops()
-        bw = self.issue_bw
-        now = self.queue.now
-        cycle = bw._cycle
-        if now > cycle:
-            bw._cycle = now
-            bw._used = 1
-            return now
-        if bw._used < bw._width:
-            bw._used += 1
-            return cycle
-        cycle += 1
-        bw._cycle = cycle
-        bw._used = 1
-        return cycle
-
     def _schedule_alu_execute(self, instr: DynInstr) -> None:
-        # _issue_slot, inlined (one call frame per issued µop); post1 +
-        # a prebound callback: no closure and no bound-method
-        # allocation per scheduled µop (ordering-identical to post()).
+        # Issue-slot reservation (BandwidthLimiter.grant, inlined: one
+        # call frame per issued µop saved); post1 + a prebound callback:
+        # no closure and no bound-method allocation per scheduled µop.
         self._c_issued_ops()
         bw = self.issue_bw
         now = self.queue.now
@@ -952,7 +772,7 @@ class OutOfOrderCore:
                     self.queue.post(1, self._commit_cb)
 
     def _schedule_branch_execute(self, instr: DynInstr) -> None:
-        # _issue_slot, inlined (see _schedule_alu_execute).
+        # Issue-slot reservation, inlined (see _schedule_alu_execute).
         self._c_issued_ops()
         bw = self.issue_bw
         now = self.queue.now
@@ -1023,7 +843,7 @@ class OutOfOrderCore:
     # memory unit: address generation
 
     def _schedule_agen(self, instr: DynInstr) -> None:
-        # _issue_slot, inlined (see _schedule_alu_execute).
+        # Issue-slot reservation, inlined (see _schedule_alu_execute).
         self._c_issued_ops()
         bw = self.issue_bw
         now = self.queue.now
@@ -1097,17 +917,14 @@ class OutOfOrderCore:
         ):
             return
 
-        # Gate 1: explicit fences (mfence) block younger loads.
-        # _blocked_by_fence's fast-mode branch, inlined: fences are rare
-        # but the gate runs for every load issue attempt.
-        if self._fast:
-            fences = self._fences
-            if fences and fences[0].seq < instr.seq:
-                if not (instr.flags & F_WAIT_FENCE):
-                    instr.flags |= F_WAIT_FENCE
-                    self._loads_waiting_fence.append(instr)
-                return
-        elif self._blocked_by_fence(instr):
+        # Gate 1: explicit fences (mfence) block younger loads.  _fences
+        # holds only live fences in program order, so the front is the
+        # oldest: one compare answers for all of them.
+        fences = self._fences
+        if fences and fences[0].seq < instr.seq:
+            if not (instr.flags & F_WAIT_FENCE):
+                instr.flags |= F_WAIT_FENCE
+                self._loads_waiting_fence.append(instr)
             return
         # Gate 2: fenced designs block loads younger than an unperformed
         # atomic (Mem_Fence2).
@@ -1136,23 +953,16 @@ class OutOfOrderCore:
                     self._loads_waiting_agen.append(instr)
                 return
 
-        # decide_load_source's no-matching-store arm, inlined for the
-        # fast leg (StoreQueue.youngest_matching_store over the word
-        # bucket); any in-flight same-word store falls through to the
-        # full decision function, which recomputes the same scan.
-        if self._fast:
-            best = None
-            for store in self.sq._by_word.get(instr.word, ()):
-                if store.seq < instr.seq and (
-                    best is None or store.seq > best.seq
-                ):
-                    best = store
-            if best is None:
-                decision = _CACHE_DECISION
-            else:
-                decision = decide_load_source(
-                    instr, self.sq, self.policy, self.max_forward_chain
-                )
+        # decide_load_source's no-matching-store arm, inlined
+        # (StoreQueue.youngest_matching_store over the word bucket); any
+        # in-flight same-word store falls through to the full decision
+        # function, which recomputes the same scan.
+        best = None
+        for store in self.sq._by_word.get(instr.word, ()):
+            if store.seq < instr.seq and (best is None or store.seq > best.seq):
+                best = store
+        if best is None:
+            decision = _CACHE_DECISION
         else:
             decision = decide_load_source(
                 instr, self.sq, self.policy, self.max_forward_chain
@@ -1206,49 +1016,18 @@ class OutOfOrderCore:
             waiters = store.perform_waiters = []
         waiters.append(callback)
 
-    def _blocked_by_fence(self, instr: DynInstr) -> bool:
-        if self._fast:
-            # _fences holds only live (uncommitted, unsquashed) fences
-            # in program order, so the front is the oldest: one compare
-            # replaces the scan.
-            fences = self._fences
-            if not (fences and fences[0].seq < instr.seq):
-                return False
-        else:
-            for fence in self._fences:
-                if fence.squashed or fence.committed:
-                    continue
-                if fence.seq < instr.seq:
-                    break
-            else:
-                return False
-        if not (instr.flags & F_WAIT_FENCE):
-            instr.flags |= F_WAIT_FENCE
-            self._loads_waiting_fence.append(instr)
-        return True
-
     def _blocked_by_fenced_atomic(self, instr: DynInstr) -> bool:
-        """Mem_Fence2: younger loads wait for the atomic to fully perform."""
-        if self._fast:
-            # Every atomic still in the SQ is unperformed (it leaves the
-            # SQ the moment its store_unlock performs), so the front of
-            # the program-ordered _atomics_sq deque is the oldest
-            # unperformed atomic — the one the scan would find.
-            atomics = self._atomics_sq
-            if atomics:
-                store = atomics[0]
-                if store.seq < instr.seq:
-                    self._subscribe_perform(
-                        store, lambda: self._try_start_load(instr)
-                    )
-                    return True
-            return False
-        for store in self.sq:
-            if store.seq >= instr.seq:
-                break
-            if store is instr:
-                continue
-            if store.is_atomic and not store.store_performed:
+        """Mem_Fence2: younger loads wait for the atomic to fully perform.
+
+        Every atomic still in the SQ is unperformed (it leaves the SQ the
+        moment its store_unlock performs), so the front of the
+        program-ordered _atomics_sq deque is the oldest unperformed
+        atomic.
+        """
+        atomics = self._atomics_sq
+        if atomics:
+            store = atomics[0]
+            if store.seq < instr.seq:
                 self._subscribe_perform(store, lambda: self._try_start_load(instr))
                 return True
         return False
@@ -1609,26 +1388,12 @@ class OutOfOrderCore:
         self.queue.post(1, self._commit_cb)
 
     def _commit_ready(self, instr: DynInstr) -> bool:
-        if not instr.completed:
-            return False
-        if instr.dec.commit_simple:
-            # Versioned ordering: a plain load speculates freely but
-            # retires only once every older release has performed (the
-            # front of _atomics_sq is the oldest unpublished release).
-            # Only _commit_tick reaches here with a commit_simple head —
-            # every other probe site short-circuits on commit_simple —
-            # so this is the exact slow-leg twin of the inlined check in
-            # _commit_tick_fast.  Re-probe is guaranteed: the blocking
-            # atomic already committed, its SB entry always drains, and
-            # _perform_store -> _on_sb_progress re-arms commit.
-            if self._versioned and instr.dec.kidx == KIDX_LOAD:
-                atomics = self._atomics_sq
-                if atomics and atomics[0].seq < instr.seq:
-                    if instr.head_wait_cycle < 0:
-                        instr.head_wait_cycle = self.queue.now
-                        self._c_version_commit_stall()
-                    return False
-            return True
+        """Whether a completed ATOMIC, FENCE or HALT head may commit.
+
+        The other classes (``commit_simple``) are ready once completed,
+        so every probe site short-circuits on that flag first; the
+        versioned load-retire gate lives in :meth:`_commit_tick`.
+        """
         if instr.klass is InstrClass.ATOMIC:
             return (
                 instr.performed
@@ -1639,39 +1404,14 @@ class OutOfOrderCore:
         return self.sq.sb_empty_below(instr.seq)
 
     def _commit_tick(self) -> None:
-        self._commit_scheduled = False
-        entries = self._rob_entries
-        probe = self.probe
-        on_commit = probe.commit if probe is not None else None
-        committed = 0
-        while committed < self.cfg.commit_width:
-            if not entries:
-                break
-            head = entries[0]
-            if not self._commit_ready(head):
-                break
-            entries.popleft()
-            self._do_commit(head)
-            if on_commit is not None:
-                on_commit(head)
-            committed += 1
-            if self.finished:
-                break
-        if committed:
-            self._drain_retry_pool(self._stalled_atomics, F_STALLED_ATOMIC)
-            self._maybe_resume_fetch()
-        self._maybe_schedule_commit()
+        """Commit one window of up to ``commit_width`` ROB heads.
 
-    def _commit_tick_fast(self) -> None:
-        """Batched fast-path twin of :meth:`_commit_tick`.
-
-        Inlines :meth:`_commit_ready` and :meth:`_do_commit` into one
+        Commit readiness and the commit itself are inlined into one
         window loop with the loop-invariant lookups hoisted (the cycle
         number, the store buffer, the rename arrays, the trace sink, the
-        probe's commit listener) and
-        the total committed counter added once per window.  Decision
-        order and side effects are identical to the original, which
-        ``REPRO_NO_FASTPATH=1`` keeps running.
+        probe's commit listener); the per-class counters are added once
+        per window.  The tail feeds spin fast-forward's clean-commit
+        streak.
         """
         self._commit_scheduled = False
         entries = self._rob_entries
@@ -1710,15 +1450,20 @@ class OutOfOrderCore:
                 elif not sq.sb_empty_below(head.seq):
                     break
             elif versioned and kidx == KIDX_LOAD:
-                # _commit_ready's versioned load-retire gate, inlined:
-                # loads wait out any older unpublished release.
+                # Versioned load-retire gate: a plain load speculates
+                # freely but retires only once every older release has
+                # performed (the front of _atomics_sq is the oldest
+                # unpublished one).  The re-probe is guaranteed: the
+                # blocking atomic already committed, its SB entry always
+                # drains, and _perform_store -> _on_sb_progress re-arms
+                # commit.
                 if atomics_sq and atomics_sq[0].seq < head.seq:
                     if head.head_wait_cycle < 0:
                         head.head_wait_cycle = now
                         self._c_version_commit_stall()
                     break
             entries.popleft()
-            # -- _do_commit, inlined ------------------------------------
+            # -- commit ------------------------------------------------
             head.committed = True
             gap = now - self._last_commit_cycle
             self._last_commit_cycle = now
@@ -1807,54 +1552,6 @@ class OutOfOrderCore:
                 # After _maybe_schedule_commit so a just-posted commit
                 # event is part of the parkable pending set.
                 spinff.on_commit_boundary()
-
-    def _do_commit(self, instr: DynInstr) -> None:
-        now = self.queue.now
-        dec = instr.dec
-        instr.committed = True
-        gap = now - self._last_commit_cycle
-        self._last_commit_cycle = now
-        if dec.spin:
-            self.quiescent_cycles += gap
-            self._c_committed_spin()
-        else:
-            self.active_cycles += gap
-        self._c_committed()
-        kidx = dec.kidx
-        self._c_committed_by_kidx[kidx]()
-
-        dst = dec.dst
-        if dst is not None and instr.result is not None:
-            self.rename.commit(dst, instr, instr.result)
-        if self.commit_trace is not None:
-            self._record_trace(instr)
-
-        if kidx <= KIDX_BRANCH:  # ALU and BRANCH: nothing else to do
-            return
-        if kidx == KIDX_LOAD:
-            self.lq.release(instr)
-        elif kidx == KIDX_STORE:
-            self._prefetch_store_permission(instr)
-            self._try_drain_sb()
-        elif kidx == KIDX_ATOMIC:
-            self.lq.release(instr)
-            self.watchdog.reset()
-            self._commit_atomic_stats(instr)
-            self._try_drain_sb()
-        elif kidx == KIDX_FENCE:
-            # Fences commit in order, so the committing fence is the
-            # front of the program-ordered deque.
-            if self._fences and self._fences[0] is instr:
-                self._fences.popleft()
-            elif instr in self._fences:  # pragma: no cover - defensive
-                self._fences.remove(instr)
-            self.stats.bump("fences_executed")
-            self._drain_retry_pool(self._loads_waiting_fence, F_WAIT_FENCE)
-        else:  # KIDX_HALT
-            self.finished = True
-            self.finish_cycle = now
-            if self.on_finished is not None:
-                self.on_finished()
 
     def _prefetch_store_permission(self, store: DynInstr) -> None:
         """At-commit store prefetch (Table 1, [54]): grab write
@@ -1981,17 +1678,3 @@ class OutOfOrderCore:
     def _schedule_unlock_notify(self, line: int) -> None:
         """Decouple deferred-request replay from the unlocking event."""
         self.queue.post1(0, self._notify_unlock_cb, line)
-
-
-#: Dispatch handlers indexed by the decode record's ``kidx`` (hot-path
-#: table; tuple indexing by small int, no enum hashing).  Must follow
-#: :data:`repro.uarch.decode.KIDX_ORDER`.
-_DISPATCH_TABLE = (
-    OutOfOrderCore._dispatch_alu,  # KIDX_ALU
-    OutOfOrderCore._dispatch_branch,  # KIDX_BRANCH
-    OutOfOrderCore._dispatch_atomic,  # KIDX_ATOMIC
-    OutOfOrderCore._dispatch_load,  # KIDX_LOAD
-    OutOfOrderCore._dispatch_store,  # KIDX_STORE
-    OutOfOrderCore._dispatch_fence,  # KIDX_FENCE
-    OutOfOrderCore._dispatch_halt,  # KIDX_HALT
-)

@@ -127,7 +127,7 @@ class DecodedOp:
         self.alu_fn = None
         self.branch_fn = None
         #: Unconditional branch: predict/train skip the counter table
-        #: (the fetch/resolve fast paths read this slot instead of
+        #: (fetch and branch resolve read this slot instead of
         #: re-testing ``static.cond`` through the enum).
         self.branch_always = False
 

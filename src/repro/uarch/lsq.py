@@ -4,12 +4,12 @@ Both queues hold the owning :class:`DynInstr` objects directly.  Entries
 arrive in program order, commit from the front, and squash from the back,
 so deques are exact.
 
-Address indexes (tentpole of the LSQ overhaul): every entry whose
-address has resolved is also present in per-word (and, for loads,
-per-line) dict-of-list buckets, so the per-memory-op searches —
-youngest-older-store forwarding lookups, memory-dependence violation
-checks, and load->load ordering checks — touch only the entries on the
-*same word/line* instead of the whole queue.  The buckets hold exactly
+Address indexes: every entry whose address has resolved is also
+present in per-word (and, for loads, per-line) dict-of-list buckets, so
+the per-memory-op searches — youngest-older-store forwarding lookups,
+memory-dependence violation checks, and load->load ordering checks —
+touch only the entries on the *same word/line* instead of the whole
+queue.  The buckets hold exactly
 the addr-resolved, in-queue entries:
 
 - entries enter a bucket at :meth:`insert` (when the address is already
@@ -23,12 +23,11 @@ the addr-resolved, in-queue entries:
 
 Buckets are unordered sets-in-a-list; the queries that need an extremum
 (*oldest* violating load, *youngest* matching store) take a min/max over
-the bucket, which is equivalent to the program-ordered scan they replace
-because the deque order is exactly seq order.  The indexes are always
-maintained; only the *queries* consult them, and ``REPRO_NO_FASTPATH=1``
-(read at queue construction) routes every query through the original
-full-queue scan instead — the A/B escape hatch used by the equivalence
-tests.
+the bucket, which equals the first match of a program-ordered queue scan
+because the deque order is exactly seq order.  The buckets are pure
+redundancy over the deques, so :meth:`LoadQueue.audit_indexes` and
+:meth:`StoreQueue.audit_indexes` cross-check them in the online
+invariant audit (:mod:`repro.mem.invariants`).
 
 The store queue contains both ordinary stores and the store_unlock part
 of atomics.  Its committed prefix is the store buffer (SB): only the
@@ -40,16 +39,10 @@ make the committed entries a *prefix* of the queue, which is what lets
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Iterator, Optional
 
 from repro.uarch.dynins import DynInstr, F_LQ_INDEXED, F_SQ_INDEXED
-
-
-def _fastpath_enabled() -> bool:
-    """Read the A/B escape hatch (at construction, like mem.hierarchy)."""
-    return os.environ.get("REPRO_NO_FASTPATH") != "1"
 
 
 class LoadQueue:
@@ -58,7 +51,6 @@ class LoadQueue:
     def __init__(self, capacity: int) -> None:
         self._capacity = capacity
         self._entries: Deque[DynInstr] = deque()
-        self._fast = _fastpath_enabled()
         #: addr-resolved entries bucketed by word / by line (see module
         #: docstring for the entry/exit points and membership flag).
         self._by_word: dict[int, list[DynInstr]] = {}
@@ -142,7 +134,7 @@ class LoadQueue:
         Returns violation strings (empty = consistent).  Part of the
         online invariant audit (:mod:`repro.mem.invariants`): the
         buckets are pure redundancy over the deque, so any divergence
-        is a fast-path bookkeeping bug that would silently corrupt
+        is a bookkeeping bug that would silently corrupt
         forwarding/violation queries.
         """
         problems: list[str] = []
@@ -196,49 +188,34 @@ class LoadQueue:
         store early is TSO-legal), and performed load_locks hold the line
         locked, so the line cannot have left while they are in flight.
         """
-        if self._fast:
-            # Performed entries are always addr-resolved, so the line
-            # bucket sees every candidate the full scan would.
-            victim: Optional[DynInstr] = None
-            for load in self._by_line.get(line, ()):
-                if (
-                    load.performed
-                    and not load.committed
-                    and load.forwarded_from is None
-                    and not load.is_atomic
-                ):
-                    if victim is None or load.seq < victim.seq:
-                        victim = load
-            return victim
-        for load in self._entries:
+        # Performed entries are always addr-resolved, so the line bucket
+        # holds every candidate.
+        victim: Optional[DynInstr] = None
+        for load in self._by_line.get(line, ()):
             if (
                 load.performed
                 and not load.committed
-                and load.line == line
                 and load.forwarded_from is None
                 and not load.is_atomic
             ):
-                return load
-        return None
+                if victim is None or load.seq < victim.seq:
+                    victim = load
+        return victim
 
     def oldest_violating_load(self, store_seq: int, word: int) -> Optional[DynInstr]:
         """Oldest load that mis-speculated past a store to ``word``.
 
         A younger load that already performed without taking its value
         from the store (or a younger one) violated the memory dependence
-        — Table 2's MDV events.  The queue scan and the word bucket find
-        the same victim: the bucket holds every addr-resolved load on
-        the word, a superset of the performed ones, and the minimum seq
-        over the bucket equals the first match in queue (seq) order.
+        — Table 2's MDV events.  The word bucket holds every
+        addr-resolved load on the word, a superset of the performed ones.
         """
         victim: Optional[DynInstr] = None
-        candidates = self._by_word.get(word, ()) if self._fast else self._entries
-        for load in candidates:
+        for load in self._by_word.get(word, ()):
             if (
                 load.seq > store_seq
                 and load.performed
                 and not load.committed
-                and load.word == word
                 and (load.forwarded_from is None or load.forwarded_from < store_seq)
             ):
                 if victim is None or load.seq < victim.seq:
@@ -252,7 +229,6 @@ class StoreQueue:
     def __init__(self, capacity: int) -> None:
         self._capacity = capacity
         self._entries: Deque[DynInstr] = deque()
-        self._fast = _fastpath_enabled()
         #: addr-resolved entries bucketed by word (see module docstring).
         self._by_word: dict[int, list[DynInstr]] = {}
 
@@ -365,21 +341,16 @@ class StoreQueue:
         return None
 
     def sb_empty_below(self, seq: int) -> bool:
-        """True when no committed store older than ``seq`` remains."""
-        if self._fast:
-            # Committed entries form a prefix of the queue (in-order
-            # commit, in-order front release), so the front entry alone
-            # decides: if it is uncommitted, so is everything behind it.
-            if not self._entries:
-                return True
-            head = self._entries[0]
-            return head.seq >= seq or not head.committed
-        for store in self._entries:
-            if store.seq >= seq:
-                return True
-            if store.committed:
-                return False
-        return True
+        """True when no committed store older than ``seq`` remains.
+
+        Committed entries form a prefix of the queue (in-order commit,
+        in-order front release), so the front entry alone decides: if it
+        is uncommitted, so is everything behind it.
+        """
+        if not self._entries:
+            return True
+        head = self._entries[0]
+        return head.seq >= seq or not head.committed
 
     @property
     def sb_empty(self) -> bool:
@@ -388,18 +359,11 @@ class StoreQueue:
 
     def youngest_matching_store(self, word: int, before_seq: int) -> Optional[DynInstr]:
         """Youngest older store with a resolved address equal to ``word``."""
-        if self._fast:
-            best: Optional[DynInstr] = None
-            for store in self._by_word.get(word, ()):
-                if store.seq < before_seq and (best is None or store.seq > best.seq):
-                    best = store
-            return best
-        for store in reversed(self._entries):
-            if store.seq >= before_seq:
-                continue
-            if store.addr_ready and store.word == word:
-                return store
-        return None
+        best: Optional[DynInstr] = None
+        for store in self._by_word.get(word, ()):
+            if store.seq < before_seq and (best is None or store.seq > best.seq):
+                best = store
+        return best
 
     def has_unresolved_older(self, before_seq: int) -> bool:
         """Any older store whose address is still unknown?"""

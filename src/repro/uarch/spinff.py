@@ -9,7 +9,7 @@ it changes any observable result.
 
 This module removes that time *exactly*:
 
-1. **Detect.**  The fast commit leg counts a streak of committed
+1. **Detect.**  The commit window counts a streak of committed
    instructions that are all side-effect-free classes (ALU / branch /
    load).  Once the streak passes a threshold and the ROB contains a
    spin-marked op (PAUSE), the engine captures a *relative signature* of
@@ -62,10 +62,11 @@ This module removes that time *exactly*:
    quantities (sequence numbers, LRU stamp magnitudes) do not shift; relative
    order — the only thing the simulation ever consults — is preserved.
 
-The observable result is byte-identical to the un-fast-forwarded run;
-the ``REPRO_NO_FASTPATH=1`` A/B tests assert exactly that, and the
-differential fuzzer runs with the feature enabled.  ``REPRO_NO_SPINFF=1``
-disables only this engine (keeping the other fast paths) for isolation.
+The observable result is byte-identical to the un-fast-forwarded run.
+``REPRO_NO_SPINFF=1`` runs without this engine, and the identity tests
+(``tests/system/test_spinff_equivalence.py``,
+``tests/properties/test_spinff_side_effects.py``) compare against that
+reference; the differential fuzzer runs with the engine enabled.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class SpinFastForward:
         self._on_send_cb = self._on_send
 
     # ------------------------------------------------------------------
-    # detection (called from the tail of _commit_tick_fast)
+    # detection (called from the tail of the core's _commit_tick)
 
     @property
     def observing(self) -> bool:
@@ -412,9 +413,6 @@ class SpinFastForward:
         return _BAD
 
     def _targets_core(self, arg) -> bool:
-        if type(arg) is list:
-            core_id = self.core.core_id
-            return any(getattr(m, "dst", None) == core_id for m in arg)
         return getattr(arg, "dst", None) == self.core.core_id
 
     def _scan_pending(self, base: int, plan: Optional[list]):
@@ -422,12 +420,10 @@ class SpinFastForward:
         ``plan`` (when given) with the live ``(due, order, callback,
         arg)`` entries for extraction.  None when the pending set makes
         parking illegal: a cancellable handle on an owned entry, an
-        uncanonicalizable argument, an owned heap entry, a pending
-        microtask, or an in-flight delivery targeting this core (whose
-        due cycle :meth:`abort` then retries at)."""
+        uncanonicalizable argument, an owned heap entry, or an in-flight
+        delivery targeting this core (whose due cycle :meth:`abort` then
+        retries at)."""
         queue = self.queue
-        if queue.micro_pending():
-            return None
         core = self.core
         hierarchy = self.hierarchy
         now = queue.now
@@ -593,12 +589,7 @@ class SpinFastForward:
                 queue.bucket_live_entries(due)
             ):
                 send = None
-                if type(a) is list:
-                    for m in a:
-                        if getattr(m, "dst", None) == core_id:
-                            send = send_cycle_of.get(id(m))
-                            break
-                elif getattr(a, "dst", None) == core_id:
+                if getattr(a, "dst", None) == core_id:
                     send = send_cycle_of.get(id(a))
                 if send is not None and send > replay_posted:
                     index = i

@@ -183,85 +183,3 @@ class TestRunCycle:
         while q2.run_cycle() is not None:
             pass
         assert o1 == o2
-
-
-class TestMicrotasks:
-    def test_call_soon_runs_before_later_posts(self):
-        queue = EventQueue()
-        order = []
-        queue.post(0, lambda: order.append("event"))
-        queue.run_next()  # now inside cycle 0's wake; queue idle again
-
-        def event():
-            assert queue.idle_now()
-            queue.call_soon(lambda: order.append("micro"))
-            queue.post(0, lambda: order.append("posted-after"))
-
-        queue.post(0, event)
-        while queue.run_next():
-            pass
-        assert order == ["event", "micro", "posted-after"]
-
-    def test_call_soon_matches_post_zero_exactly(self):
-        def run(use_call_soon):
-            queue = EventQueue()
-            order = []
-
-            def complete(tag):
-                if use_call_soon and queue.idle_now():
-                    queue.call_soon(lambda: order.append(tag))
-                else:
-                    queue.post(0, lambda: order.append(tag))
-
-            def event():
-                complete("a")
-                queue.post(0, lambda: order.append("x"))
-                complete("b")
-                queue.post(1, lambda: order.append("next-cycle"))
-
-            queue.post(3, event)
-            while queue.run_next():
-                pass
-            return order
-
-        assert run(True) == run(False) == ["a", "x", "b", "next-cycle"]
-
-    def test_idle_now_false_while_microtask_pending(self):
-        queue = EventQueue()
-        queue.call_soon(lambda: None)
-        assert not queue.idle_now()
-        assert len(queue) == 1
-        queue.run_next()
-        assert queue.idle_now()
-        assert len(queue) == 0
-
-    def test_chained_microtasks_fifo(self):
-        queue = EventQueue()
-        order = []
-
-        def chain(n):
-            order.append(n)
-            if n < 4:
-                queue.call_soon(lambda: chain(n + 1))
-
-        queue.call_soon(lambda: chain(0))
-        while queue.run_next():
-            pass
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_run_cycle_drains_microtasks_first(self):
-        queue = EventQueue()
-        order = []
-        queue.call_soon(lambda: order.append("micro"))
-        queue.post(0, lambda: order.append("ring"))
-        assert queue.run_cycle() == 0
-        assert order == ["micro", "ring"]
-
-    def test_run_until_drains_microtasks(self):
-        queue = EventQueue()
-        order = []
-        queue.call_soon(lambda: order.append("micro"))
-        queue.post(2, lambda: order.append("later"))
-        queue.run_until(1)
-        assert order == ["micro"]
-        assert queue.now == 1

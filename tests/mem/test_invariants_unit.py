@@ -191,9 +191,3 @@ class TestFastpathIndexAudit:
         system.cores[0].sq._by_word[0x99] = []
         violations = verify_system(system)
         assert any("empty bucket retained" in v for v in violations)
-
-    def test_aq_locked_count_drift_detected(self):
-        system = fresh_system()
-        system.cores[0].aq._locked_count += 1
-        violations = verify_system(system)
-        assert any("locked_count" in v for v in violations)

@@ -63,14 +63,10 @@ seq   17 pc  10 atomic  | D@35 P@65 C@66 W@68
 seq   18 pc  11 halt    | D@35 C@69"""
 
 
-@pytest.fixture(autouse=True, params=["fast", "nofastpath"])
-def _leg(request, monkeypatch):
-    """Both simulator legs emit the same stream."""
+@pytest.fixture(autouse=True, params=["fast"])
+def _leg(monkeypatch):
+    """``fast``: spin fast-forward on, as in every default run."""
     monkeypatch.delenv("REPRO_NO_SPINFF", raising=False)
-    if request.param == "fast":
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
 
 
 def test_trace_out_chrome_json_digest(tmp_path):

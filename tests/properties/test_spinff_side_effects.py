@@ -6,11 +6,11 @@ each iteration — must never be parked.  The detector guarantees this
 structurally: the prefilter and signature reject any ROB holding a
 non-{ALU, branch, load} instruction class and any core with a non-empty
 SQ/AQ (see ``repro.uarch.spinff``).  These properties hold it to that
-with randomized hand-built spin loops, run through both legs:
+with randomized hand-built spin loops, run with the engine on and off:
 
 - a spin loop that performs a store/atomic each lap never parks, and
 - whatever the detector decides, the final memory and the canonical
-  summary are byte-identical to the ``REPRO_NO_FASTPATH=1`` reference.
+  summary are byte-identical to the ``REPRO_NO_SPINFF=1`` reference.
 """
 
 from __future__ import annotations
@@ -34,21 +34,18 @@ SIDE_EFFECTS = ("none", "store", "fetch_add", "exchange")
 
 
 @contextmanager
-def _leg(fastpath: bool):
-    saved = {
-        var: os.environ.pop(var, None)
-        for var in ("REPRO_NO_FASTPATH", "REPRO_NO_SPINFF")
-    }
-    if not fastpath:
-        os.environ["REPRO_NO_FASTPATH"] = "1"
+def spinff_switch(spinff: bool):
+    """Run the block with the engine on or off (``REPRO_NO_SPINFF``);
+    an env flip, not monkeypatch, so it also works under ``@given``."""
+    saved = os.environ.pop("REPRO_NO_SPINFF", None)
+    if not spinff:
+        os.environ["REPRO_NO_SPINFF"] = "1"
     try:
         yield
     finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        os.environ.pop("REPRO_NO_SPINFF", None)
+        if saved is not None:
+            os.environ["REPRO_NO_SPINFF"] = saved
 
 
 def spinner_program(side_effect: str, filler: int):
@@ -95,8 +92,8 @@ def spin_workload(side_effect: str, delay: int, filler: int) -> Workload:
     )
 
 
-def _observe(workload, fastpath: bool):
-    with _leg(fastpath):
+def _observe(workload, spinff: bool):
+    with spinff_switch(spinff):
         result = run_workload(
             workload,
             policy=FREE_ATOMICS_FWD,
@@ -120,8 +117,8 @@ def test_side_effect_spins_never_park_and_stay_identical(
     side_effect, delay, filler
 ):
     workload = spin_workload(side_effect, delay, filler)
-    fast = _observe(workload, fastpath=True)
-    reference = _observe(workload, fastpath=False)
+    fast = _observe(workload, spinff=True)
+    reference = _observe(workload, spinff=False)
     assert reference[0] == 0  # reference leg cannot park by construction
     if side_effect != "none":
         assert fast[0] == 0, (
@@ -137,7 +134,7 @@ def test_clean_spin_actually_parks():
     exact same loop must park, skip cycles, and still match the
     reference byte for byte."""
     workload = spin_workload("none", 500, 0)
-    fast = _observe(workload, fastpath=True)
-    reference = _observe(workload, fastpath=False)
+    fast = _observe(workload, spinff=True)
+    reference = _observe(workload, spinff=False)
     assert fast[0] > 0, "clean spin never parked: detector dead?"
     assert fast[1:] == reference[1:]

@@ -96,7 +96,7 @@ def test_traces_admissible_under_tso(policy, spec0, spec1, skew):
 #: before that store, since the final X is 1.  Core 1 then reads Y=100 and
 #: afterwards reads X=100: under TSO X=1 was visible before Y=100, so
 #: that last load must return 1.  Replayed trace (free, free+fwd and
-#: versioned; both simulator legs):
+#: versioned):
 #:
 #:   core0: store X=1; rmw Y 0->100; load Y=100
 #:   core1: rmw X 0->100; load Y=100; load Y=100; load X=100
@@ -115,18 +115,12 @@ COUNTEREXAMPLE = (
 @pytest.mark.xfail(
     strict=True, reason="free atomics let a load read a stale X (ROADMAP)"
 )
-@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "nofastpath"])
 @pytest.mark.parametrize(
     "policy",
     [p for p in ALL_POLICIES if p.name in ("free", "free+fwd", "versioned")],
     ids=lambda p: p.name,
 )
-def test_pinned_counterexample_admissible_under_tso(
-    policy, fastpath, monkeypatch
-):
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    if not fastpath:
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+def test_pinned_counterexample_admissible_under_tso(policy):
     programs = [build_program(t, s) for t, s in enumerate(COUNTEREXAMPLE)]
     result = run_workload(
         Workload("tso_counterexample", programs),

@@ -15,14 +15,10 @@ Two generators exercise it here:
   through the full differential pipeline (:func:`run_case`);
 - random two-thread ISA programs (same strategy as the all-policy
   admissibility property), checked directly against the abstract
-  machine — on both legs of the fast path, since the versioned commit
-  gate is duplicated in ``_commit_tick_fast``.
+  machine, with spin fast-forward on and off (``REPRO_NO_SPINFF``).
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +31,7 @@ from repro.core.policy import VERSIONED
 from repro.system.simulator import run_workload
 from repro.workloads.base import Workload
 from tests.conftest import small_system_config
+from tests.properties.test_spinff_side_effects import spinff_switch
 from tests.properties.test_tso_admissibility import (
     LOCATIONS,
     build_program,
@@ -56,34 +53,17 @@ def test_fuzz_cases_commit_only_tso_outcomes(seed, knob_salt):
     assert record.outcome in test.allowed
 
 
-@contextmanager
-def _fastpath_leg(no_fastpath: bool):
-    """Env-flip context (monkeypatch is function-scoped; @given is not)."""
-    saved = os.environ.get("REPRO_NO_FASTPATH")
-    try:
-        if no_fastpath:
-            os.environ["REPRO_NO_FASTPATH"] = "1"
-        else:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
-
-
-@pytest.mark.parametrize("no_fastpath", [False, True], ids=["fast", "slow"])
+@pytest.mark.parametrize("leg", ["fast", "nospinff"])
 @given(spec0=thread_specs(), spec1=thread_specs(), skew=st.integers(0, 5))
 @settings(max_examples=10, deadline=None)
-def test_isa_traces_admissible_on_both_legs(no_fastpath, spec0, spec1, skew):
+def test_isa_traces_admissible_on_both_legs(leg, spec0, spec1, skew):
     b1_prefix = [("alu", LOCATIONS[0])] * skew
     programs = [
         build_program(0, spec0),
         build_program(1, b1_prefix + spec1),
     ]
     workload = Workload("versioned_prop", programs)
-    with _fastpath_leg(no_fastpath):
+    with spinff_switch(leg == "fast"):
         result = run_workload(
             workload,
             policy=VERSIONED,
@@ -94,8 +74,7 @@ def test_isa_traces_admissible_on_both_legs(no_fastpath, spec0, spec1, skew):
     final = {addr: result.read_word(addr) for addr in LOCATIONS}
     outcome = TsoChecker().admissible(result.traces, final_memory=final)
     assert outcome.admissible, (
-        "non-TSO execution under versioned "
-        f"({'slow' if no_fastpath else 'fast'} leg):\n"
+        f"non-TSO execution under versioned ({leg} leg):\n"
         f"  core0: {result.traces[0]}\n"
         f"  core1: {result.traces[1]}\n"
         f"  final: {final}"

@@ -43,10 +43,11 @@ def _paper_point():
 
 
 def _set_leg(monkeypatch, leg: str) -> None:
-    if leg == "nofastpath":
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+    """``fast``: spin fast-forward on (the default); ``nospinff``: off."""
+    if leg == "nospinff":
+        monkeypatch.setenv("REPRO_NO_SPINFF", "1")
     else:
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        monkeypatch.delenv("REPRO_NO_SPINFF", raising=False)
 
 
 @pytest.fixture
@@ -69,7 +70,7 @@ def host_thresholds():
 
 
 class TestNoCyclicGarbage:
-    @pytest.mark.parametrize("leg", ["fast", "nofastpath"])
+    @pytest.mark.parametrize("leg", ["fast", "nospinff"])
     @pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed"])
     def test_small_run(self, monkeypatch, collector_off, leg, observed):
         _set_leg(monkeypatch, leg)
@@ -114,6 +115,22 @@ class TestGcRegime:
     def test_run_drains_under_the_regime(self, host_thresholds):
         seen: list = []
         _system_recording_thresholds(seen).run()
+        assert seen == [GC_THRESHOLDS]
+        assert gc.get_threshold() == HOST_THRESHOLDS
+
+    def test_run_workload_builds_under_the_regime(
+        self, monkeypatch, host_thresholds
+    ):
+        seen: list = []
+        init = System.__init__
+
+        def spy(system, *args, **kwargs) -> None:
+            seen.append(gc.get_threshold())
+            init(system, *args, **kwargs)
+
+        monkeypatch.setattr(System, "__init__", spy)
+        workload, config = _small_point()
+        run_workload(workload, policy=FREE_ATOMICS_FWD, config=config)
         assert seen == [GC_THRESHOLDS]
         assert gc.get_threshold() == HOST_THRESHOLDS
 
@@ -191,8 +208,7 @@ def test_event_queue_discard_drops_every_pending_entry():
     fired: list = []
     queue.post(1, lambda: fired.append("ring"))
     queue.post(10_000, lambda: fired.append("heap"))
-    queue.call_soon(lambda: fired.append("micro"))
-    assert len(queue) == 3
+    assert len(queue) == 2
     queue.discard()
     assert len(queue) == 0
     assert queue.run_next() is False

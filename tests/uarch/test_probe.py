@@ -82,8 +82,7 @@ def test_parking_replays_or_declines_probe_streams(cat, monkeypatch):
     """A dispatch-counting stream on every core of a 32-thread run: as a
     ``pipeline`` stream the cores park and the count stays exact; as any
     other category no lap parks."""
-    for var in ("REPRO_NO_FASTPATH", "REPRO_NO_SPINFF"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_NO_SPINFF", raising=False)
     workload = generate_workload(
         "canneal",
         WorkloadScale(num_threads=32, instructions_per_thread=100, seed=0),

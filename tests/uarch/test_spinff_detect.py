@@ -25,8 +25,7 @@ from tests.properties.test_spinff_side_effects import spin_workload
 
 @pytest.fixture(autouse=True)
 def _engine_on(monkeypatch):
-    for var in ("REPRO_NO_FASTPATH", "REPRO_NO_SPINFF"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_NO_SPINFF", raising=False)
 
 
 def _as_workload():
