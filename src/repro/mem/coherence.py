@@ -75,14 +75,10 @@ class CoherenceMessage:
 
     ``transaction`` ties acks back to the directory transaction that
     requested them; ``msg_id`` makes logs and tests deterministic.
-
-    Messages allocated through :meth:`repro.mem.interconnect.Interconnect.
-    send_msg` come from a free-list pool and are recycled after delivery.
-    A handler that stores a message past its own return (the hierarchy's
-    deferred-while-locked queues, the directory's blocked-request queues)
-    must set :attr:`retained` before returning, and hand the message back
-    via ``Interconnect.release`` once it is finally done — see the
-    hot-path invariants section of ARCHITECTURE.md.
+    :meth:`repro.mem.interconnect.Interconnect.send_msg` builds a fresh
+    message per send, so a handler that queues one (the hierarchy's
+    deferred-while-locked queues, the directory's blocked-request
+    queues) simply keeps the reference.
     """
 
     kind: MessageKind
@@ -91,22 +87,6 @@ class CoherenceMessage:
     dst: int
     transaction: int = -1
     msg_id: int = field(default_factory=lambda: next(_message_ids))
-    #: Set by a handler that keeps the message alive past its return.
-    retained: bool = field(default=False, compare=False, repr=False)
-    #: True when the message came from the interconnect's free list.
-    pooled: bool = field(default=False, compare=False, repr=False)
-
-    def renew(
-        self, kind: MessageKind, line: int, src: int, dst: int, transaction: int
-    ) -> None:
-        """Re-initialize a recycled message (fresh ``msg_id``)."""
-        self.kind = kind
-        self.line = line
-        self.src = src
-        self.dst = dst
-        self.transaction = transaction
-        self.msg_id = next(_message_ids)
-        self.retained = False
 
     def __repr__(self) -> str:
         return (

@@ -13,23 +13,16 @@ directory models permission transfer and latency:
 - L3 presence hit: ``l3.tag + l3.data`` cycles to data.
 - L3 miss: DRAM latency, then the line is installed in the L3.
 
-Hot-path design: directory state lives in dense struct-of-arrays tables
-sharded by address bank (``bank = set_index % llc_banks``, so every set
-resides wholly in one bank).  Each bank slot is one tracked line: owner
-(``-1`` = none), sharer set as a **bitmask** (bit *i* = core *i* — a
-natural fit for the paper's 32-core machine), pending transaction, and
-LRU stamp, all in parallel lists indexed by slot.  Slots are recycled
-through a per-bank free list, so the footprint is proportional to the
-lines actually touched, not the configured capacity (400% coverage of
-32 cores' private caches would be half a million entries).  The service
-paths work directly on the masks — no per-request set objects — and
-:class:`Transaction` objects are pooled.
-
-Introspection (tests, invariant audits, the observability layer) goes
-through :class:`DirectoryEntry`, a live *view* over a bank slot: reads
-and writes pass through to the tables, and ``entry.sharers`` is a
-mutable set-like proxy over the bitmask, so fabricating drifted states
-in tests works exactly as it did with dict/set entries.
+Each tracked line is one :class:`DirectoryEntry` record: owner (``-1``
+= none), sharer set as a **bitmask** (bit *i* = core *i* — a natural fit
+for the paper's 32-core machine), pending transaction, and LRU stamp.
+An entry is built when its line is first requested and dropped once no
+core holds the line and no transaction is pending, so the footprint is
+proportional to the lines in use, not the configured capacity (400%
+coverage of 32 cores' private caches would be half a million entries).
+The service paths work directly on the masks — no per-request set
+objects.  Tests and the invariant audits read and write the same
+records, so a fabricated drift is the directory's real state.
 """
 
 from __future__ import annotations
@@ -50,9 +43,6 @@ from repro.mem.coherence import (
 )
 from repro.mem.interconnect import Interconnect
 
-#: Upper bound on pooled Transaction objects per controller.
-_TXN_POOL_LIMIT = 64
-
 
 def _mask_iter(mask: int) -> Iterator[int]:
     """Set bit positions of ``mask``, ascending."""
@@ -62,162 +52,46 @@ def _mask_iter(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _SharerSet:
-    """Mutable set-of-cores view over one bank slot's sharer bitmask."""
-
-    __slots__ = ("_bank", "_slot")
-
-    def __init__(self, bank: "_DirectoryBank", slot: int) -> None:
-        self._bank = bank
-        self._slot = slot
-
-    def _mask(self) -> int:
-        return self._bank.sharers[self._slot]
-
-    def add(self, core: int) -> None:
-        self._bank.sharers[self._slot] |= 1 << core
-
-    def discard(self, core: int) -> None:
-        self._bank.sharers[self._slot] &= ~(1 << core)
-
-    def clear(self) -> None:
-        self._bank.sharers[self._slot] = 0
-
-    def __contains__(self, core: int) -> bool:
-        return bool(self._bank.sharers[self._slot] >> core & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return _mask_iter(self._bank.sharers[self._slot])
-
-    def __len__(self) -> int:
-        return self._bank.sharers[self._slot].bit_count()
-
-    def __bool__(self) -> bool:
-        return self._bank.sharers[self._slot] != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _SharerSet):
-            return self._mask() == other._mask()
-        if isinstance(other, (set, frozenset)):
-            return set(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{{{', '.join(map(str, self))}}}"
-
-
 class DirectoryEntry:
-    """Live view of one tracked line: an owner (M/E) xor a sharer set.
+    """One tracked line: an owner (M/E) xor a sharer set."""
 
-    One permanent view object exists per bank slot; every attribute
-    reads/writes the bank's dense tables, so mutations made through a
-    view (tests fabricating drift) are the directory's real state.
-    """
+    __slots__ = ("line", "owner", "sharers", "pending", "last_use")
 
-    __slots__ = ("_bank", "_slot", "sharers")
-
-    def __init__(self, bank: "_DirectoryBank", slot: int) -> None:
-        self._bank = bank
-        self._slot = slot
-        self.sharers = _SharerSet(bank, slot)
-
-    @property
-    def line(self) -> int:
-        return self._bank.lines[self._slot]
-
-    @property
-    def owner(self) -> Optional[int]:
-        owner = self._bank.owner[self._slot]
-        return None if owner < 0 else owner
-
-    @owner.setter
-    def owner(self, core: Optional[int]) -> None:
-        self._bank.owner[self._slot] = -1 if core is None else core
-
-    @property
-    def pending(self) -> Optional["Transaction"]:
-        return self._bank.pending[self._slot]
-
-    @pending.setter
-    def pending(self, txn: Optional["Transaction"]) -> None:
-        self._bank.pending[self._slot] = txn
-
-    @property
-    def last_use(self) -> int:
-        return self._bank.last_use[self._slot]
+    def __init__(self, line: int) -> None:
+        self.line = line
+        #: Core holding the line in M/E, or -1.
+        self.owner = -1
+        #: Core bitmask of the S-state holders.
+        self.sharers = 0
+        self.pending: Optional[Transaction] = None
+        self.last_use = 0
 
     @property
     def holders(self) -> set[int]:
-        holders = set(_mask_iter(self._bank.sharers[self._slot]))
-        owner = self._bank.owner[self._slot]
-        if owner >= 0:
-            holders.add(owner)
+        holders = set(_mask_iter(self.sharers))
+        if self.owner >= 0:
+            holders.add(self.owner)
         return holders
 
     @property
     def holders_mask(self) -> int:
-        mask = self._bank.sharers[self._slot]
-        owner = self._bank.owner[self._slot]
-        return mask | (1 << owner) if owner >= 0 else mask
-
-    @property
-    def empty(self) -> bool:
-        return (
-            self._bank.owner[self._slot] < 0
-            and self._bank.sharers[self._slot] == 0
-        )
+        owner = self.owner
+        return self.sharers | (1 << owner) if owner >= 0 else self.sharers
 
     def __repr__(self) -> str:
         return (
             f"DirectoryEntry(line={self.line:#x}, owner={self.owner}, "
-            f"sharers={self.sharers!r}, pending={self.pending is not None})"
+            f"sharers={sorted(_mask_iter(self.sharers))}, "
+            f"pending={self.pending is not None})"
         )
-
-
-class _DirectoryBank:
-    """Dense SoA state tables for the sets this bank owns."""
-
-    __slots__ = ("lines", "owner", "sharers", "pending", "last_use", "views", "free")
-
-    def __init__(self) -> None:
-        self.lines: List[int] = []
-        self.owner: List[int] = []
-        self.sharers: List[int] = []
-        self.pending: List[Optional[Transaction]] = []
-        self.last_use: List[int] = []
-        self.views: List[DirectoryEntry] = []
-        self.free: List[int] = []
-
-    def alloc(self, line: int) -> DirectoryEntry:
-        free = self.free
-        if free:
-            slot = free.pop()
-            self.lines[slot] = line
-        else:
-            slot = len(self.lines)
-            self.lines.append(line)
-            self.owner.append(-1)
-            self.sharers.append(0)
-            self.pending.append(None)
-            self.last_use.append(0)
-            self.views.append(DirectoryEntry(self, slot))
-        return self.views[slot]
-
-    def release(self, slot: int) -> None:
-        self.lines[slot] = -1
-        self.owner[slot] = -1
-        self.sharers[slot] = 0
-        self.pending[slot] = None
-        self.free.append(slot)
 
 
 @dataclass
 class Transaction:
     """One in-flight directory transaction (request service or recall).
 
-    ``waiting_acks`` is a core bitmask (same encoding as the sharer
-    tables).  Instances are pooled by the controller; a transaction is
-    recycled when it closes, after its blocked requests replay.
+    ``waiting_acks`` is a core bitmask (same encoding as
+    :attr:`DirectoryEntry.sharers`).
     """
 
     txn_id: int
@@ -273,12 +147,10 @@ class DirectoryController:
         )
         self._ways = memory_config.directory.ways
         self._num_sets = max(1, capacity // self._ways)
-        self._num_banks = network.num_banks
-        self._banks = [_DirectoryBank() for _ in range(self._num_banks)]
-        #: line -> live entry view (the only per-line lookup structure).
+        #: line -> entry (the only per-line lookup structure).
         self._entries: Dict[int, DirectoryEntry] = {}
-        # Per-set resident entries, for victim selection (each set lives
-        # wholly in one bank; keyed by set index).
+        # Per-set resident entries, for victim selection (keyed by set
+        # index).
         self._sets: Dict[int, List[DirectoryEntry]] = {}
         # Requests that could not even start a recall (all ways pending).
         self._set_overflow: Dict[int, deque] = {}
@@ -287,7 +159,6 @@ class DirectoryController:
         self._next_txn_id = 1
         self._pending_by_id: Dict[int, Transaction] = {}
         self._use_clock = 0
-        self._txn_pool: List[Transaction] = []
         #: The directory's probe table (see repro.uarch.probe), None
         #: unless observed.
         self.probe = None
@@ -315,15 +186,13 @@ class DirectoryController:
     def _handle_request(self, message: CoherenceMessage) -> None:
         entry = self._entries.get(message.line)
         if entry is not None:
-            bank, slot = entry._bank, entry._slot
-            txn = bank.pending[slot]
+            txn = entry.pending
             if txn is not None:
-                message.retained = True
                 txn.blocked.append(message)
                 self._c_queued.add()
                 return
             self._use_clock += 1
-            bank.last_use[slot] = self._use_clock
+            entry.last_use = self._use_clock
             self._service(entry, message)
             return
         # Allocate a new entry (inclusive directory).
@@ -333,10 +202,6 @@ class DirectoryController:
 
     def _set_of(self, line: int) -> int:
         return line % self._num_sets
-
-    def bank_of(self, line: int) -> int:
-        """Bank owning ``line``'s set (``set_index % llc_banks``)."""
-        return (line % self._num_sets) % self._num_banks
 
     def _try_allocate(self, message: CoherenceMessage) -> Optional[DirectoryEntry]:
         """Allocate a directory entry, recalling a victim if needed.
@@ -349,27 +214,24 @@ class DirectoryController:
         if resident is None:
             resident = self._sets[set_index] = []
         if len(resident) < self._ways:
-            bank = self._banks[set_index % self._num_banks]
-            entry = bank.alloc(message.line)
+            entry = DirectoryEntry(message.line)
             self._entries[message.line] = entry
             resident.append(entry)
             self._use_clock += 1
-            bank.last_use[entry._slot] = self._use_clock
+            entry.last_use = self._use_clock
             return entry
         # Pick the LRU victim without a pending transaction.
         victim: Optional[DirectoryEntry] = None
         victim_use = 0
         for candidate in resident:
-            bank, slot = candidate._bank, candidate._slot
-            if bank.pending[slot] is not None:
+            if candidate.pending is not None:
                 continue
-            use = bank.last_use[slot]
+            use = candidate.last_use
             if victim is None or use < victim_use:
                 victim = candidate
                 victim_use = use
         if victim is None:
             # Every way is mid-transaction; park the request set-wide.
-            message.retained = True
             overflow = self._set_overflow.get(set_index)
             if overflow is None:
                 overflow = self._set_overflow[set_index] = deque()
@@ -382,48 +244,26 @@ class DirectoryController:
     def _new_txn(self, kind: str, line: int, requester: int) -> Transaction:
         txn_id = self._next_txn_id
         self._next_txn_id = txn_id + 1
-        pool = self._txn_pool
-        if pool:
-            txn = pool.pop()
-            txn.txn_id = txn_id
-            txn.kind = kind
-            txn.line = line
-            txn.requester = requester
-            txn.waiting_acks = 0
-            txn.data_ready_at = 0
-            txn.grant = None
-            txn.awaiting_unblock = False
-        else:
-            txn = Transaction(
-                txn_id=txn_id, kind=kind, line=line, requester=requester
-            )
+        txn = Transaction(txn_id, kind, line, requester)
         self._pending_by_id[txn_id] = txn
         probe = self.probe
         if probe is not None and probe.txn_open is not None:
             probe.txn_open(txn)
         return txn
 
-    def _recycle_txn(self, txn: Transaction) -> None:
-        if len(self._txn_pool) < _TXN_POOL_LIMIT:
-            txn.blocked.clear()
-            self._txn_pool.append(txn)
-
     def _start_recall(
         self, victim: DirectoryEntry, blocked_request: CoherenceMessage
     ) -> None:
         """Invalidate all private copies of ``victim``, then free it."""
         self._stats.bump("recalls")
-        bank, slot = victim._bank, victim._slot
-        line = bank.lines[slot]
+        line = victim.line
         txn = self._new_txn("Recall", line, DIRECTORY_NODE)
-        owner = bank.owner[slot]
-        holders = bank.sharers[slot]
-        if owner >= 0:
-            holders |= 1 << owner
+        holders = victim.sharers
+        if victim.owner >= 0:
+            holders |= 1 << victim.owner
         txn.waiting_acks = holders
-        blocked_request.retained = True
         txn.blocked.append(blocked_request)
-        bank.pending[slot] = txn
+        victim.pending = txn
         if not holders:
             # Nothing cached anywhere: complete immediately.
             self._complete_recall(txn)
@@ -440,10 +280,9 @@ class DirectoryController:
         the coherence module) — requests for the same line queue behind
         it, which closes the two-owners race.
         """
-        bank, slot = entry._bank, entry._slot
         line, requester = message.line, message.src
         data_ready_at = self._queue.now + self._data_latency(line)
-        owner = bank.owner[slot]
+        owner = entry.owner
         req_bit = 1 << requester
         if message.kind is MessageKind.GET_S:
             if owner >= 0 and owner != requester:
@@ -457,7 +296,7 @@ class DirectoryController:
             txn = self._open_txn("GetS", entry, requester, data_ready_at)
             # Grant Exclusive iff nobody else holds the line (the owner,
             # if any, is the requester itself here).
-            if bank.sharers[slot] & ~req_bit == 0:
+            if entry.sharers & ~req_bit == 0:
                 txn.grant = MessageKind.DATA_E
             else:
                 txn.grant = MessageKind.DATA_S
@@ -465,7 +304,7 @@ class DirectoryController:
             return
 
         # GET_X
-        targets = bank.sharers[slot]
+        targets = entry.sharers
         if owner >= 0:
             targets |= 1 << owner
         targets &= ~req_bit
@@ -482,9 +321,9 @@ class DirectoryController:
     def _open_txn(
         self, kind: str, entry: DirectoryEntry, requester: int, data_ready_at: int
     ) -> Transaction:
-        txn = self._new_txn(kind, entry._bank.lines[entry._slot], requester)
+        txn = self._new_txn(kind, entry.line, requester)
         txn.data_ready_at = data_ready_at
-        entry._bank.pending[entry._slot] = txn
+        entry.pending = txn
         return txn
 
     def _data_latency(self, line: int) -> int:
@@ -524,19 +363,17 @@ class DirectoryController:
         The transaction stays pending until the requester's Unblock.
         """
         entry = self._entries[txn.line]
-        bank, slot = entry._bank, entry._slot
         grant = txn.grant
         requester = txn.requester
         if txn.kind == "GetX" or grant is MessageKind.DATA_E:
-            bank.owner[slot] = requester
-            bank.sharers[slot] = 0
+            entry.owner = requester
+            entry.sharers = 0
         else:  # DATA_S: add requester; a previous owner became a sharer
-            previous_owner = bank.owner[slot]
-            bank.owner[slot] = -1
-            mask = bank.sharers[slot] | (1 << requester)
-            if previous_owner >= 0:
-                mask |= 1 << previous_owner
-            bank.sharers[slot] = mask
+            mask = entry.sharers | (1 << requester)
+            if entry.owner >= 0:
+                mask |= 1 << entry.owner
+            entry.sharers = mask
+            entry.owner = -1
         assert grant is not None
         txn.awaiting_unblock = True
         self._c_grant[grant].add()
@@ -559,35 +396,25 @@ class DirectoryController:
         entry = self._entries.pop(txn.line, None)
         if entry is not None:
             self._sets[self._set_of(txn.line)].remove(entry)
-            entry._bank.release(entry._slot)
         self._pending_by_id.pop(txn.txn_id, None)
         blocked = txn.blocked
         self._drain_overflow_into(blocked, txn.line)
         self._replay(blocked)
-        self._recycle_txn(txn)
 
     def _close_txn(self, entry: DirectoryEntry, txn: Transaction) -> None:
         probe = self.probe
         if probe is not None and probe.txn_close is not None:
             probe.txn_close(txn)
-        entry._bank.pending[entry._slot] = None
+        entry.pending = None
         self._pending_by_id.pop(txn.txn_id, None)
         blocked = txn.blocked
         self._drain_overflow_into(blocked, txn.line)
         self._replay(blocked)
-        self._recycle_txn(txn)
 
     def _replay(self, blocked: List[CoherenceMessage]) -> None:
-        """Re-handle parked requests; recycle any that complete.
-
-        A replayed request may get parked again (the handler re-sets
-        ``retained``); otherwise its transaction is open and the message
-        itself is done, so it goes back to the interconnect pool.
-        """
+        """Re-handle parked requests (a replay may get parked again)."""
         for message in blocked:
-            message.retained = False
             self._handle_request(message)
-            self._network.release(message)
         blocked.clear()
 
     def _drain_overflow_into(
@@ -605,19 +432,13 @@ class DirectoryController:
         entry = self._entries.get(message.line)
         if entry is None:
             return
-        bank, slot = entry._bank, entry._slot
         src = message.src
-        if bank.owner[slot] == src:
-            bank.owner[slot] = -1
-        bank.sharers[slot] &= ~(1 << src)
-        if (
-            bank.owner[slot] < 0
-            and bank.sharers[slot] == 0
-            and bank.pending[slot] is None
-        ):
+        if entry.owner == src:
+            entry.owner = -1
+        entry.sharers &= ~(1 << src)
+        if entry.owner < 0 and entry.sharers == 0 and entry.pending is None:
             self._entries.pop(message.line)
             self._sets[self._set_of(message.line)].remove(entry)
-            bank.release(slot)
 
     # ------------------------------------------------------------------
     # introspection (tests, invariant audits)
@@ -633,10 +454,6 @@ class DirectoryController:
         line — which the core-side walk cannot see.
         """
         return iter(self._entries.items())
-
-    @property
-    def num_banks(self) -> int:
-        return self._num_banks
 
     @property
     def pending_transactions(self) -> int:

@@ -72,10 +72,7 @@ class _NoLocks:
 class _Mshr:
     """One in-flight miss: the request sent plus the merged waiters.
 
-    Waiters are plain ``(need_write, callback, arg)`` tuples and the MSHR
-    objects themselves are pooled by the hierarchy (``_recycle_mshr``) —
-    miss handling is the steady-state path of every workload with a
-    working set beyond the L1, so it allocates nothing once warm.
+    Waiters are plain ``(need_write, callback, arg)`` tuples.
     """
 
     __slots__ = ("line", "requested_write", "waiters")
@@ -84,10 +81,6 @@ class _Mshr:
         self.line = line
         self.requested_write = requested_write
         self.waiters: List[tuple] = []
-
-
-#: Upper bound on pooled _Mshr objects per hierarchy.
-_MSHR_POOL_LIMIT = 32
 
 
 class PrivateHierarchy:
@@ -123,7 +116,6 @@ class PrivateHierarchy:
         #: compares this instead of serializing the whole dict.
         self.state_epoch = 0
         self._mshrs: Dict[int, _Mshr] = {}
-        self._mshr_pool: List[_Mshr] = []
         self._deferred: Dict[int, List[CoherenceMessage]] = {}
         #: Blocked-fill retries currently in flight (the closures posted
         #: by ``_fill_l1_then``/``_install``).  Tracked because the spin
@@ -196,13 +188,7 @@ class PrivateHierarchy:
                 # the response arrives (handled in _on_data).
                 self._stats.bump("upgrade_after_gets")
             return
-        pool = self._mshr_pool
-        if pool:
-            mshr = pool.pop()
-            mshr.line = line
-            mshr.requested_write = need_write
-        else:
-            mshr = _Mshr(line, need_write)
+        mshr = _Mshr(line, need_write)
         mshr.waiters.append((need_write, callback, arg))
         self._mshrs[line] = mshr
         kind = MessageKind.GET_X if need_write else MessageKind.GET_S
@@ -285,12 +271,6 @@ class PrivateHierarchy:
                 # The grant was only S but this waiter needs write
                 # permission: go around again with a GetX (upgrade).
                 self._access(line, need_write=True, callback=callback, arg=arg)
-        self._recycle_mshr(mshr)
-
-    def _recycle_mshr(self, mshr: _Mshr) -> None:
-        if len(self._mshr_pool) < _MSHR_POOL_LIMIT:
-            mshr.waiters.clear()
-            self._mshr_pool.append(mshr)
 
     def _install(self, line: int) -> None:
         """Fill L2 then L1, cascading evictions (L2 is inclusive of L1)."""
@@ -344,7 +324,6 @@ class PrivateHierarchy:
     def _on_invalidate(self, message: CoherenceMessage) -> None:
         if self.lock_view.is_line_locked(message.line):
             self._stats.bump("deferred_inv")
-            message.retained = True
             self._deferred.setdefault(message.line, []).append(message)
             probe = self.probe
             if probe is not None and probe.defer is not None:
@@ -369,7 +348,6 @@ class PrivateHierarchy:
     def _on_downgrade(self, message: CoherenceMessage) -> None:
         if self.lock_view.is_line_locked(message.line):
             self._stats.bump("deferred_downgrade")
-            message.retained = True
             self._deferred.setdefault(message.line, []).append(message)
             probe = self.probe
             if probe is not None and probe.defer is not None:
@@ -397,12 +375,8 @@ class PrivateHierarchy:
             return
         self._stats.bump("unlock_replays", len(deferred))
         for message in deferred:
-            # Clear the retention mark before replay; the handler re-sets
-            # it if the line got locked again in the meantime, otherwise
-            # the message is done and goes back to the pool.
-            message.retained = False
+            # Defers again if the line got locked in the meantime.
             self.on_message(message)
-            self._network.release(message)
 
     # ------------------------------------------------------------------
     # spin fast-forward integration

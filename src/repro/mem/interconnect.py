@@ -12,37 +12,26 @@ num_banks`` statically routes every message of a line through one bank
 model (injection serialization + fixed latency) is unchanged.  Every
 message is delivered by its own event-queue entry.
 
-Hot-path design: :meth:`Interconnect.send_msg` allocates the
-:class:`CoherenceMessage` from a free-list pool and recycles it right
-after the destination handler returns, so the steady-state message churn
-of the directory/L1 exchange allocates nothing.  Handlers that keep a
-message alive past their return (deferral and blocked-request queues)
-mark it ``retained`` and give it back through :meth:`release` when done.
+Every :meth:`Interconnect.send_msg` builds a fresh
+:class:`CoherenceMessage`; a handler that queues one past its return
+(deferral and blocked-request queues) just keeps the reference.
 Handlers and next-injection cycles live in dense lists indexed by
 ``node + 1`` (the directory is node ``-1``), and deliveries are posted
-through ``post1`` with prebound callbacks — no per-message closure.
-
-Debug-mode leak checking: with ``REPRO_POOL_DEBUG=1`` the interconnect
-tracks every pooled message a handler retains and :meth:`assert_no_leaks`
-(called by ``System.run`` once the queue has drained empty) raises if
-any retained message was never released — the retain/release protocol's
-equivalent of an ASan leak report.
+through ``post1`` with the prebound :meth:`Interconnect._deliver` — no
+per-message closure.  Posting the handler itself would hide deliveries
+among the destination's own events, which the spin fast-forward engine
+tells apart by callback owner.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional
 
-from repro.common.errors import SimulationError
 from repro.common.events import EventQueue
 from repro.common.stats import StatsRegistry
 from repro.mem.coherence import CoherenceMessage, MessageKind
 
 Handler = Callable[[CoherenceMessage], None]
-
-#: Maximum number of recycled messages kept on the free list.
-POOL_LIMIT = 512
 
 #: Default number of address banks (overridden via MemoryConfig.llc_banks).
 DEFAULT_BANKS = 8
@@ -76,11 +65,6 @@ class Interconnect:
         self._handlers: List[Optional[Handler]] = [None]
         # Next free injection cycle per source endpoint (same indexing).
         self._next_inject: List[int] = [0]
-        # Free list of recycled CoherenceMessages (see send_msg/release).
-        self._pool: list[CoherenceMessage] = []
-        #: REPRO_POOL_DEBUG=1 turns on retain/release leak tracking.
-        self.debug_leaks = os.environ.get("REPRO_POOL_DEBUG") == "1"
-        self._retained_live: dict[int, CoherenceMessage] = {}
         #: Spin fast-forward wake hooks: dst node -> callable invoked at
         #: send time, *before* the delivery is posted (see ``send``).
         #: None (not an empty dict) when nobody is parked, so the hot
@@ -118,17 +102,8 @@ class Interconnect:
         dst: int,
         transaction: int = -1,
     ) -> None:
-        """Allocate a (pooled) message and inject it."""
-        pool = self._pool
-        if pool:
-            message = pool.pop()
-            message.renew(kind, line, src, dst, transaction)
-        else:
-            message = CoherenceMessage(
-                kind=kind, line=line, src=src, dst=dst, transaction=transaction
-            )
-            message.pooled = True
-        self.send(message)
+        """Build a message and inject it."""
+        self.send(CoherenceMessage(kind, line, src, dst, transaction))
 
     def send(self, message: CoherenceMessage) -> None:
         """Inject a message; it is delivered after injection + latency."""
@@ -163,23 +138,6 @@ class Interconnect:
 
     def _deliver(self, message: CoherenceMessage) -> None:
         self._handlers[message.dst + 1](message)
-        if message.retained:
-            if self.debug_leaks and message.pooled:
-                self._retained_live[message.msg_id] = message
-        elif message.pooled and len(self._pool) < POOL_LIMIT:
-            self._pool.append(message)
-
-    def release(self, message: CoherenceMessage) -> None:
-        """Return a retained message to the pool once it is fully done.
-
-        Safe to call with any message; only pooled, non-retained ones are
-        recycled.
-        """
-        if message.pooled and not message.retained:
-            if self.debug_leaks:
-                self._retained_live.pop(message.msg_id, None)
-            if len(self._pool) < POOL_LIMIT:
-                self._pool.append(message)
 
     # ------------------------------------------------------------------
     # spin fast-forward wake hooks
@@ -198,27 +156,3 @@ class Interconnect:
             watchers.pop(node, None)
             if not watchers:
                 self._watchers = None
-
-    # ------------------------------------------------------------------
-    # debug-mode leak checking (REPRO_POOL_DEBUG=1)
-
-    def outstanding_retained(self) -> int:
-        """Retained pooled messages not yet released (debug mode only)."""
-        return len(self._retained_live)
-
-    def assert_no_leaks(self) -> None:
-        """Raise if any retained pooled message was never released.
-
-        Only sound once the event queue has drained empty: with no
-        messages in flight, every handler-retained message must have
-        been replayed and handed back through :meth:`release`.
-        """
-        if not self._retained_live:
-            return
-        leaked = ", ".join(
-            repr(message) for message in self._retained_live.values()
-        )
-        raise SimulationError(
-            f"{len(self._retained_live)} retained coherence message(s) "
-            f"never released: {leaked}"
-        )

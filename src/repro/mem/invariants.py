@@ -26,12 +26,9 @@ healthy).  Checked invariants:
    atomics that have actually left the SQ.
 7. **LSQ indexes** — the LQ/SQ word and line buckets exactly mirror
    the queues they accelerate (``audit_indexes`` on each queue).
-7b. **Directory tables** — the banked struct-of-arrays directory state
-   is internally consistent: every ``_entries`` view points at a live
-   slot in the bank that owns its line's set, set residency lists and
-   the per-line map mirror each other, freed slots are scrubbed and
-   never referenced, and sharer/owner encodings stay within the
-   machine's core count.
+7b. **Directory tables** — the directory's per-line map and per-set
+   residency lists mirror each other, no set holds more than ``ways``
+   entries, and owner/sharer encodings name existing cores.
 8. **Quiesced-only** (``quiesced=True``; sound only once the event
    queue has drained empty) — no pending directory transactions, no
    directory-recorded holder without a cached copy (the *reverse* of
@@ -305,45 +302,35 @@ def _check_directory(system: "System", strict: bool) -> List[str]:
 
 
 def _check_directory_tables(system: "System") -> List[str]:
-    """The banked SoA directory tables must be internally consistent.
+    """The directory's line map and set lists must agree.
 
-    The dense layout is redundant by design — a per-line view map
-    (``_entries``), per-set residency lists (``_sets``), and per-bank
-    parallel arrays with a free list — so drift between them is silent
-    corruption the protocol checks above cannot see (they read only
-    through the views).  Checks: view/line agreement, bank routing
-    (``set_index % llc_banks``), free-list hygiene (freed slots are
-    scrubbed and unreferenced), set lists within ``ways`` and mirroring
-    the line map, and core encodings within ``num_cores`` bits.
+    Every entry lives in two places — the per-line map (``_entries``)
+    and its set's residency list (``_sets``, which victim selection
+    walks) — so drift between them is silent corruption the protocol
+    checks above cannot see (they read only through the line map).
+    Checks: each mapped line is in its set's list, each listed entry is
+    the one the line map owns, sets stay within ``ways``, and owner and
+    sharer bits stay below ``num_cores``.
     """
     violations = []
     directory = system.directory
     num_cores = len(system.cores)
-    banks = directory._banks
     entries = directory._entries
     for line, entry in entries.items():
-        if entry.line != line:
-            violations.append(
-                f"directory: view for line {line:#x} reads back "
-                f"{entry.line:#x} from its bank slot"
-            )
-            continue
-        owning_bank = banks[directory.bank_of(line)]
-        if entry._bank is not owning_bank:
-            violations.append(
-                f"directory: line {line:#x} stored in a bank other than "
-                f"bank {directory.bank_of(line)} owning its set"
-            )
-        if entry._slot in entry._bank.free:
-            violations.append(
-                f"directory: line {line:#x} mapped to freed slot "
-                f"{entry._slot}"
-            )
-        resident = directory._sets.get(directory._set_of(line), [])
-        if entry not in resident:
+        if entry not in directory._sets.get(directory._set_of(line), ()):
             violations.append(
                 f"directory: line {line:#x} missing from its set's "
                 f"residency list"
+            )
+        if entry.sharers >> num_cores:
+            violations.append(
+                f"directory: line {line:#x} sharer mask {entry.sharers:#x} "
+                f"names cores >= {num_cores}"
+            )
+        if entry.owner >= num_cores:
+            violations.append(
+                f"directory: line {line:#x} owner {entry.owner} "
+                f">= {num_cores}"
             )
     for set_index, resident in directory._sets.items():
         if len(resident) > directory._ways:
@@ -356,46 +343,6 @@ def _check_directory_tables(system: "System") -> List[str]:
                 violations.append(
                     f"directory: set {set_index} lists an entry for "
                     f"{entry.line:#x} the line map does not own"
-                )
-    for bank_index, bank in enumerate(banks):
-        free = set(bank.free)
-        if len(free) != len(bank.free):
-            violations.append(
-                f"directory: bank {bank_index} free list has duplicates"
-            )
-        for slot in range(len(bank.lines)):
-            view = bank.views[slot]
-            if view._slot != slot or view._bank is not bank:
-                violations.append(
-                    f"directory: bank {bank_index} slot {slot} view is "
-                    f"mis-bound"
-                )
-            if slot in free:
-                if (
-                    bank.lines[slot] != -1
-                    or bank.owner[slot] != -1
-                    or bank.sharers[slot] != 0
-                    or bank.pending[slot] is not None
-                ):
-                    violations.append(
-                        f"directory: bank {bank_index} freed slot {slot} "
-                        f"not scrubbed"
-                    )
-                continue
-            if entries.get(bank.lines[slot]) is not view:
-                violations.append(
-                    f"directory: bank {bank_index} live slot {slot} "
-                    f"(line {bank.lines[slot]:#x}) unknown to the line map"
-                )
-            if bank.sharers[slot] >> num_cores:
-                violations.append(
-                    f"directory: bank {bank_index} slot {slot} sharer mask "
-                    f"{bank.sharers[slot]:#x} names cores >= {num_cores}"
-                )
-            if bank.owner[slot] >= num_cores:
-                violations.append(
-                    f"directory: bank {bank_index} slot {slot} owner "
-                    f"{bank.owner[slot]} >= {num_cores}"
                 )
     return violations
 

@@ -268,10 +268,6 @@ class System:
                 f"workload={self.workload.name})"
             )
         assert not any(core.parked for core in self.cores)
-        if self.network.debug_leaks and len(self.queue) == 0:
-            # Only sound on a fully drained queue: every handler-retained
-            # pooled message must have been replayed and released.
-            self.network.assert_no_leaks()
         end_cycle = self.queue.now
         health = (
             self.obs.finalize_run(self, end_cycle)
@@ -321,11 +317,10 @@ class System:
 
         The components point at each other (cores and hierarchies hold
         the queue, the queue holds their bound-method callbacks, the
-        network holds every endpoint's handler, each directory bank
-        holds views that point back at it, and so on), so a dead System
-        is one large reference cycle that only the cyclic collector
-        could free.  Dropping the pending events, the directory views,
-        the observer link and the instance state of the network,
+        network holds every endpoint's handler, and so on), so a dead
+        System is one large reference cycle that only the cyclic
+        collector could free.  Dropping the pending events, the
+        observer link and the instance state of the network,
         directory, cores, hierarchies and spin fast-forward engines
         leaves nothing cyclic, and reference counting frees it all at
         once.  What the :class:`SimulationResult` carries (stats,
@@ -335,8 +330,6 @@ class System:
         """
         self.queue.discard()
         self.obs = None
-        for bank in self.directory._banks:
-            bank.views = []
         parts = [self.network, self.directory]
         for core in self.cores:
             parts.append(core)

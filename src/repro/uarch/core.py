@@ -877,7 +877,7 @@ class OutOfOrderCore:
         instr.addr_ready = True
         load_like = dec.load_like
         if load_like and not (instr.flags & F_LQ_INDEXED):
-            # LoadQueue.on_addr_resolved, inlined (flag probe only).
+            # Enter the LQ address buckets (the flag marks membership).
             self.lq._index(instr)
 
         if dec.store_like:

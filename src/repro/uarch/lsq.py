@@ -13,8 +13,9 @@ queue.  The buckets hold exactly
 the addr-resolved, in-queue entries:
 
 - entries enter a bucket at :meth:`insert` (when the address is already
-  resolved, as in unit tests) or at :meth:`on_addr_resolved` (called by
-  the core's agen);
+  resolved, as in unit tests) or when the core's agen resolves the
+  address (:meth:`StoreQueue.on_addr_resolved`; for loads the agen calls
+  ``LoadQueue._index`` behind the same flag probe);
 - entries leave at :meth:`release` (commit / SB drain) and
   :meth:`squash_from`;
 - membership is tracked by the ``F_LQ_INDEXED`` / ``F_SQ_INDEXED`` bits
@@ -71,11 +72,6 @@ class LoadQueue:
             raise OverflowError("LQ full")
         self._entries.append(instr)
         if instr.addr_ready:
-            self._index(instr)
-
-    def on_addr_resolved(self, instr: DynInstr) -> None:
-        """Agen resolved the entry's address: enter the buckets."""
-        if not (instr.flags & F_LQ_INDEXED):
             self._index(instr)
 
     def _index(self, instr: DynInstr) -> None:
@@ -352,11 +348,6 @@ class StoreQueue:
         head = self._entries[0]
         return head.seq >= seq or not head.committed
 
-    @property
-    def sb_empty(self) -> bool:
-        """True when no committed store is waiting to perform."""
-        return not (self._entries and self._entries[0].committed)
-
     def youngest_matching_store(self, word: int, before_seq: int) -> Optional[DynInstr]:
         """Youngest older store with a resolved address equal to ``word``."""
         best: Optional[DynInstr] = None
@@ -364,19 +355,3 @@ class StoreQueue:
             if store.seq < before_seq and (best is None or store.seq > best.seq):
                 best = store
         return best
-
-    def has_unresolved_older(self, before_seq: int) -> bool:
-        """Any older store whose address is still unknown?"""
-        for store in self._entries:
-            if store.seq >= before_seq:
-                break
-            if not store.addr_ready:
-                return True
-        return False
-
-    def older_unresolved(self, before_seq: int) -> list[DynInstr]:
-        return [
-            store
-            for store in self._entries
-            if store.seq < before_seq and not store.addr_ready
-        ]

@@ -516,9 +516,8 @@ class SpinFastForward:
     def _on_send(self, message, send_cycle: int, due_cycle: int) -> None:
         """Interconnect watch hook: a message is being sent to the
         parked core.  Runs at send time, before the delivery posts."""
-        # Message objects are pooled; they stay intact until delivered,
-        # which is at or after the un-park boundary, so keeping the
-        # reference for splice-time identification is safe.  The kind
+        # The message reference identifies the delivery at splice time
+        # (the un-park boundary comes at or before delivery).  The kind
         # and line are copied now for wake-cause classification.
         self._sends.append((send_cycle, message, message.kind, message.line))
         if self._wake_at is None:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.errors import SimulationError
 from repro.common.events import EventQueue
 from repro.common.stats import StatsRegistry
 from repro.mem.coherence import CoherenceMessage, MessageKind
@@ -91,34 +90,12 @@ class TestStats:
         assert stats.get("network.kind.GetS") == 1
 
 
-class TestMessagePool:
+class TestSendMsg:
     def drain(self, queue):
         while queue.run_next():
             pass
 
-    def test_send_msg_recycles_after_delivery(self):
-        queue, network, _ = make_network()
-        seen = []
-        ids = []
-
-        def handler(message):
-            seen.append(message)
-            ids.append(message.msg_id)
-
-        network.register(1, handler)
-        network.send_msg(MessageKind.GET_S, 1, 0, 1)
-        self.drain(queue)
-        first = seen[0]
-        assert first.pooled
-        network.send_msg(MessageKind.GET_X, 2, 0, 1)
-        self.drain(queue)
-        # Same object reused, fully re-initialized with a fresh id.
-        assert seen[1] is first
-        assert seen[1].kind is MessageKind.GET_X
-        assert seen[1].line == 2
-        assert ids[1] != ids[0]
-
-    def test_fresh_msg_ids_monotonic_across_reuse(self):
+    def test_msg_ids_fresh_and_monotonic(self):
         queue, network, _ = make_network()
         ids = []
         network.register(1, lambda m: ids.append(m.msg_id))
@@ -128,116 +105,20 @@ class TestMessagePool:
         assert ids == sorted(ids)
         assert len(set(ids)) == 4
 
-    def test_retained_message_survives_until_release(self):
+    def test_kept_message_is_not_rewritten_by_later_sends(self):
+        """Handlers that queue a message (deferral, blocked requests)
+        just keep the reference; no later send may touch it."""
         queue, network, _ = make_network()
         kept = []
-
-        def keep(message):
-            message.retained = True
-            kept.append(message)
-
-        network.register(1, keep)
-        network.send_msg(MessageKind.INV, 1, 0, 1)
+        network.register(1, kept.append)
+        network.send_msg(MessageKind.INV, 1, 0, 1, transaction=7)
         self.drain(queue)
-        held = kept[0]
-        # Not recycled: a second send must allocate a different object.
-        seen = []
-        network._handlers[1 + 1] = seen.append  # dense table: node + 1
-        network.send_msg(MessageKind.GET_S, 2, 0, 1)
+        network.send_msg(MessageKind.GET_X, 2, 0, 1)
         self.drain(queue)
-        assert seen[0] is not held
-        assert held.kind is MessageKind.INV  # untouched while retained
-        # After release it becomes reusable.
-        held.retained = False
-        network.release(held)
-        network.send_msg(MessageKind.GET_X, 3, 0, 1)
-        self.drain(queue)
-        assert seen[1] is held
-
-    def test_release_ignores_unpooled_messages(self):
-        _, network, _ = make_network()
-        outside = msg(0, 1)
-        network.release(outside)
-        assert outside not in network._pool
-
-    def test_pool_is_bounded(self):
-        from repro.mem.interconnect import POOL_LIMIT
-
-        queue, network, _ = make_network()
-        network.register(1, lambda m: None)
-        for _ in range(POOL_LIMIT + 50):
-            network.send_msg(MessageKind.GET_S, 1, 0, 1)
-        self.drain(queue)
-        assert len(network._pool) <= POOL_LIMIT
-
-
-class TestLeakCheck:
-    """REPRO_POOL_DEBUG=1 retain/release leak tracking."""
-
-    def drain(self, queue):
-        while queue.run_next():
-            pass
-
-    def make_debug_network(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
-        queue = EventQueue()
-        network = Interconnect(queue, 5, StatsRegistry())
-        assert network.debug_leaks
-        return queue, network
-
-    def test_deliberate_leak_is_reported(self, monkeypatch):
-        """A handler that retains a pooled message and never releases it
-        must trip the leak check once the queue is empty."""
-        queue, network = self.make_debug_network(monkeypatch)
-
-        def leaky_handler(message):
-            message.retained = True  # kept past return, never released
-
-        network.register(1, leaky_handler)
-        network.send_msg(MessageKind.INV, 1, 0, 1)
-        self.drain(queue)
-        assert outstanding_exactly(network, 1)
-        with pytest.raises(SimulationError, match="never released"):
-            network.assert_no_leaks()
-
-    def test_release_clears_the_leak(self, monkeypatch):
-        queue, network = self.make_debug_network(monkeypatch)
-        kept = []
-
-        def keep(message):
-            message.retained = True
-            kept.append(message)
-
-        network.register(1, keep)
-        network.send_msg(MessageKind.INV, 1, 0, 1)
-        self.drain(queue)
-        assert outstanding_exactly(network, 1)
-        held = kept[0]
-        held.retained = False
-        network.release(held)
-        assert outstanding_exactly(network, 0)
-        network.assert_no_leaks()  # must not raise
-
-    def test_unretained_messages_never_tracked(self, monkeypatch):
-        queue, network = self.make_debug_network(monkeypatch)
-        network.register(1, lambda m: None)
-        for _ in range(5):
-            network.send_msg(MessageKind.GET_S, 1, 0, 1)
-        self.drain(queue)
-        assert outstanding_exactly(network, 0)
-        network.assert_no_leaks()
-
-    def test_leak_check_off_by_default(self):
-        """Without the env var the tracker stays empty even on a leak
-        (zero bookkeeping on the production path)."""
-        queue, network, _ = make_network()
-        assert not network.debug_leaks
-        network.register(1, lambda m: setattr(m, "retained", True))
-        network.send_msg(MessageKind.INV, 1, 0, 1)
-        while queue.run_next():
-            pass
-        network.assert_no_leaks()  # nothing tracked, nothing raised
-
-
-def outstanding_exactly(network, expected):
-    return network.outstanding_retained() == expected
+        first, second = kept
+        assert second is not first
+        assert (first.kind, first.line, first.transaction) == (
+            MessageKind.INV,
+            1,
+            7,
+        )

@@ -1,7 +1,7 @@
 """Unit tests for individual invariant checkers on sabotaged systems."""
 
 from repro.mem.coherence import MESIState
-from repro.mem.invariants import verify_system
+from repro.mem.invariants import _check_directory_tables, verify_system
 from repro.system.simulator import System
 from tests.conftest import counter_workload, small_system_config
 
@@ -95,9 +95,9 @@ class TestStrictDirectory:
 
         system = fresh_system()
         core_id, line, entry = self.cached_line_of(system)
-        entry.sharers.discard(core_id)
+        entry.sharers &= ~(1 << core_id)
         if entry.owner == core_id:
-            entry.owner = None
+            entry.owner = -1
         entry.pending = Transaction(
             txn_id=999, kind="GetS", line=line, requester=1 - core_id
         )
@@ -141,7 +141,7 @@ class TestQuiescedChecks:
         assert caching is not None and other is not None
         line = next(iter(caching.hierarchy._state))
         entry = system.directory.entry(line)
-        entry.sharers.add(other.core_id)  # phantom: caches nothing there
+        entry.sharers |= 1 << other.core_id  # phantom: caches nothing there
         assert other.hierarchy.state_of(line).name == "INVALID"
         quiesced = verify_system(system, quiesced=True)
         assert any("caches nothing" in v for v in quiesced)
@@ -168,6 +168,72 @@ class TestQuiescedChecks:
         assert line not in system.cores[0].aq.locked_lines()
         quiesced = verify_system(system, quiesced=True)
         assert any("stranded" in v and "deferred" in v for v in quiesced)
+
+
+class TestDirectoryTables:
+    """Each check of the line-map/set-list audit catches its drift."""
+
+    def tracked(self, system):
+        directory = system.directory
+        line, entry = next(iter(directory.entries()))
+        return directory, line, entry
+
+    def test_line_missing_from_its_set_list_detected(self):
+        system = fresh_system()
+        directory, line, entry = self.tracked(system)
+        directory._sets[directory._set_of(line)].remove(entry)
+        violations = verify_system(system)
+        assert any("missing from its set's residency list" in v for v in violations)
+
+    def test_set_list_entry_not_in_line_map_detected(self):
+        from repro.mem.directory import DirectoryEntry
+
+        system = fresh_system()
+        directory, line, entry = self.tracked(system)
+        # A second record for a tracked line: the line map owns the other.
+        directory._sets[directory._set_of(line)].append(DirectoryEntry(line))
+        violations = verify_system(system)
+        assert any("the line map does not own" in v for v in violations)
+
+    def test_set_over_ways_detected(self):
+        from repro.mem.directory import DirectoryEntry
+
+        system = fresh_system()
+        directory, line, entry = self.tracked(system)
+        set_index = directory._set_of(line)
+        resident = directory._sets[set_index]
+        # Lines of the same set, tracked in both structures so only the
+        # capacity check can object.
+        step = directory._num_sets
+        extra = directory._ways + 1 - len(resident)
+        for k in range(1, extra + 1):
+            ghost = DirectoryEntry(line + k * step)
+            directory._entries[ghost.line] = ghost
+            resident.append(ghost)
+        violations = verify_system(system)
+        assert any(
+            f"set {set_index} holds {directory._ways + 1} entries" in v
+            for v in violations
+        )
+
+    def test_owner_beyond_core_count_detected(self):
+        system = fresh_system()
+        _, line, entry = self.tracked(system)
+        entry.owner = len(system.cores)
+        violations = verify_system(system)
+        assert any(f"line {line:#x} owner" in v for v in violations)
+
+    def test_sharer_bit_beyond_core_count_detected(self):
+        system = fresh_system()
+        _, line, entry = self.tracked(system)
+        entry.sharers |= 1 << len(system.cores)
+        violations = verify_system(system)
+        assert any(f"line {line:#x} sharer mask" in v for v in violations)
+
+    def test_healthy_tables_pass(self):
+        system = fresh_system()
+        assert system.directory._entries
+        assert _check_directory_tables(system) == []
 
 
 class TestFastpathIndexAudit:

@@ -1,79 +1,40 @@
 """Property tests for the directory's bitmask sharer sets.
 
-The seed directory kept ``entry.sharers`` as a real ``set[int]``; the
-banked layout replaced it with a bitmask word in a struct-of-arrays
-bank, fronted by the :class:`~repro.mem.directory._SharerSet` view.
-These tests drive randomized operation traces through the view and a
-plain ``set`` model in lockstep and require them to agree after every
-step — the bitmask must be *semantically invisible*.
-
-Same idea for slot recycling: a randomized alloc/release trace against
-a dict model checks that freed slots are scrubbed, recycled views stay
-bound to their slot, and live state never leaks across a reuse.
+The seed directory kept ``entry.sharers`` as a real ``set[int]``; a
+:class:`~repro.mem.directory.DirectoryEntry` now keeps a core bitmask
+and an owner id (``-1`` = none).  These tests check the set views the
+audits read (``holders``, ``holders_mask``, ``_mask_iter``) against a
+plain ``set`` model — the bitmask must be *semantically invisible*.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.mem.directory import DirectoryEntry, _DirectoryBank, _mask_iter
+from repro.mem.directory import DirectoryEntry, _mask_iter
 
 #: Core ids for the paper's largest machine (32 cores) plus headroom so
 #: masks exercise multi-word-feeling bit positions.
 core_ids = st.integers(0, 40)
 
-#: One mutation step: (op, core). ``clear`` ignores the core.
-steps = st.lists(
-    st.tuples(st.sampled_from(["add", "discard", "clear"]), core_ids),
-    max_size=60,
-)
-
-
-def fresh_view(line: int = 0x40) -> DirectoryEntry:
-    return _DirectoryBank().alloc(line)
-
 
 class TestSharerSetVsModel:
-    @given(trace=steps)
-    @settings(max_examples=200)
-    def test_trace_agrees_with_set_model(self, trace):
-        entry = fresh_view()
-        view = entry.sharers
-        model: set[int] = set()
-        for op, core in trace:
-            if op == "add":
-                view.add(core)
-                model.add(core)
-            elif op == "discard":
-                view.discard(core)
-                model.discard(core)
-            else:
-                view.clear()
-                model.clear()
-            # Full observable surface after every step.
-            assert set(view) == model
-            assert len(view) == len(model)
-            assert bool(view) == bool(model)
-            assert view == model  # __eq__ against a real set
-            for probe in range(42):
-                assert (probe in view) == (probe in model)
-
     @given(cores=st.lists(core_ids, max_size=40))
     @settings(max_examples=200)
     def test_iteration_is_ascending_and_duplicate_free(self, cores):
-        entry = fresh_view()
+        # The directory sends a GetX's or recall's INVs in this order.
+        mask = 0
         for core in cores:
-            entry.sharers.add(core)
-        seen = list(entry.sharers)
-        assert seen == sorted(set(cores))
+            mask |= 1 << core
+        assert list(_mask_iter(mask)) == sorted(set(cores))
 
     @given(cores=st.sets(core_ids, max_size=40), owner=st.none() | core_ids)
     @settings(max_examples=200)
     def test_holders_match_sharers_plus_owner(self, cores, owner):
-        entry = fresh_view()
+        entry = DirectoryEntry(0x40)
         for core in cores:
-            entry.sharers.add(core)
-        entry.owner = owner
+            entry.sharers |= 1 << core
+        entry.owner = -1 if owner is None else owner
         expected = set(cores) | ({owner} if owner is not None else set())
         assert entry.holders == expected
         assert set(_mask_iter(entry.holders_mask)) == expected
@@ -82,47 +43,3 @@ class TestSharerSetVsModel:
     @settings(max_examples=200)
     def test_mask_iter_round_trips(self, mask):
         assert sum(1 << bit for bit in _mask_iter(mask)) == mask
-
-
-class TestBankRecycling:
-    @given(
-        trace=st.lists(
-            st.tuples(
-                st.sampled_from(["alloc", "release"]),
-                st.integers(0, 15),  # line for alloc / choice for release
-                core_ids,
-            ),
-            max_size=60,
-        )
-    )
-    @settings(max_examples=200)
-    def test_alloc_release_trace_vs_dict_model(self, trace):
-        bank = _DirectoryBank()
-        live: dict[int, DirectoryEntry] = {}  # slot -> view
-        model: dict[int, set[int]] = {}  # slot -> expected sharers
-        for op, value, core in trace:
-            if op == "alloc":
-                entry = bank.alloc(value)
-                slot = entry._slot
-                assert slot not in live, "allocator handed out a live slot"
-                # A recycled slot must come back scrubbed.
-                assert entry.owner is None
-                assert not entry.sharers
-                assert entry.pending is None
-                assert entry.line == value
-                entry.sharers.add(core)
-                live[slot] = entry
-                model[slot] = {core}
-            elif live:
-                slot = sorted(live)[value % len(live)]
-                bank.release(slot)
-                del live[slot]
-                del model[slot]
-                assert slot in bank.free
-                assert bank.lines[slot] == -1
-                assert bank.sharers[slot] == 0
-            # Releasing (or allocating) one slot must not disturb others.
-            for slot, entry in live.items():
-                assert bank.views[slot] is entry  # views are permanent
-                assert set(entry.sharers) == model[slot]
-        assert set(bank.free) | set(live) == set(range(len(bank.lines)))

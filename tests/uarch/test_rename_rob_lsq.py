@@ -191,7 +191,6 @@ class TestStoreQueue:
         sq = StoreQueue(8)
         sq.insert(store(1))
         assert sq.sb_head is None
-        assert sq.sb_empty
 
     def test_sb_empty_below(self):
         sq = StoreQueue(8)
@@ -210,16 +209,6 @@ class TestStoreQueue:
         assert sq.youngest_matching_store(10, before_seq=5) is mid
         assert sq.youngest_matching_store(10, before_seq=2) is old
         assert sq.youngest_matching_store(42, before_seq=5) is None
-
-    def test_unresolved_detection(self):
-        sq = StoreQueue(8)
-        resolved = store(1, word=10)
-        unresolved = store(2)
-        sq.insert(resolved)
-        sq.insert(unresolved)
-        assert sq.has_unresolved_older(5)
-        assert not sq.has_unresolved_older(2)
-        assert sq.older_unresolved(5) == [unresolved]
 
     def test_squash_from(self):
         sq = StoreQueue(8)
