@@ -151,15 +151,8 @@ class MemoryConfig:
     prefetch_degree: int = 1
     #: Crossbar one-way message latency in cycles.
     network_latency: int = 8
-    #: Address banks sharding the interconnect delivery queues and the
-    #: directory state tables (``bank = set_index % llc_banks``; purely
-    #: structural — timing is unchanged).
-    llc_banks: int = 8
     #: DRAM access latency in cycles (80 ns at ~3 GHz, rounded).
     dram_latency: int = 240
-
-    def __post_init__(self) -> None:
-        _require(self.llc_banks > 0, "llc_banks must be positive")
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,6 @@ _KNOB_PATHS: dict[str, tuple[str, ...]] = {
     "l3_data_latency": ("memory", "l3", "data_latency"),
     "directory_latency": ("memory", "directory", "latency"),
     "network_latency": ("memory", "network_latency"),
-    "llc_banks": ("memory", "llc_banks"),
     "dram_latency": ("memory", "dram_latency"),
     "prefetch_degree": ("memory", "prefetch_degree"),
     "l1_stride_prefetcher": ("memory", "l1_stride_prefetcher"),

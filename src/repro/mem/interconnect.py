@@ -1,16 +1,11 @@
-"""Banked crossbar interconnect model.
+"""Crossbar interconnect model.
 
 A fixed per-message latency plus per-endpoint injection serialization:
 each node can inject one message per cycle, so bursts from a single node
 spread out in time (the property GARNET gives the paper that actually
 matters for ordering).  Delivery order between a fixed (src, dst) pair is
-FIFO, which the coherence protocol relies on.
-
-The crossbar is *banked* by line address: ``bank_of(line) = line %
-num_banks`` statically routes every message of a line through one bank
-(O(1), no arbitration state).  Banking is purely structural — the timing
-model (injection serialization + fixed latency) is unchanged.  Every
-message is delivered by its own event-queue entry.
+FIFO, which the coherence protocol relies on.  Every message is
+delivered by its own event-queue entry.
 
 Every :meth:`Interconnect.send_msg` builds a fresh
 :class:`CoherenceMessage`; a handler that queues one past its return
@@ -33,27 +28,15 @@ from repro.mem.coherence import CoherenceMessage, MessageKind
 
 Handler = Callable[[CoherenceMessage], None]
 
-#: Default number of address banks (overridden via MemoryConfig.llc_banks).
-DEFAULT_BANKS = 8
-
 
 class Interconnect:
-    """Banked crossbar: endpoints register handlers; ``send`` routes."""
+    """Crossbar: endpoints register handlers; ``send`` routes."""
 
-    def __init__(
-        self,
-        queue: EventQueue,
-        latency: int,
-        stats: StatsRegistry,
-        banks: int = DEFAULT_BANKS,
-    ) -> None:
+    def __init__(self, queue: EventQueue, latency: int, stats: StatsRegistry) -> None:
         if latency < 1:
             raise ValueError("network latency must be >= 1")
-        if banks < 1:
-            raise ValueError("interconnect banks must be >= 1")
         self._queue = queue
         self._latency = latency
-        self._num_banks = banks
         self._stats = stats.scoped("network")
         self._c_messages = self._stats.counter("messages")
         # Per-kind counters, pre-bound once (enum identity hash beats a
@@ -74,14 +57,6 @@ class Interconnect:
     @property
     def latency(self) -> int:
         return self._latency
-
-    @property
-    def num_banks(self) -> int:
-        return self._num_banks
-
-    def bank_of(self, line: int) -> int:
-        """Static O(1) routing: the bank every message of ``line`` uses."""
-        return line % self._num_banks
 
     def register(self, node: int, handler: Handler) -> None:
         index = node + 1

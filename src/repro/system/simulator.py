@@ -169,10 +169,7 @@ class System:
         self.stats = StatsRegistry()
         self.memory = GlobalMemory(workload.initial_memory)
         self.network = Interconnect(
-            self.queue,
-            config.memory.network_latency,
-            self.stats,
-            banks=config.memory.llc_banks,
+            self.queue, config.memory.network_latency, self.stats
         )
         self.directory = DirectoryController(
             self.queue,
