@@ -68,10 +68,7 @@ class DirectoryEntry:
 
     @property
     def holders(self) -> set[int]:
-        holders = set(_mask_iter(self.sharers))
-        if self.owner >= 0:
-            holders.add(self.owner)
-        return holders
+        return set(_mask_iter(self.holders_mask))
 
     @property
     def holders_mask(self) -> int:
@@ -258,9 +255,7 @@ class DirectoryController:
         self._stats.bump("recalls")
         line = victim.line
         txn = self._new_txn("Recall", line, DIRECTORY_NODE)
-        holders = victim.sharers
-        if victim.owner >= 0:
-            holders |= 1 << victim.owner
+        holders = victim.holders_mask
         txn.waiting_acks = holders
         txn.blocked.append(blocked_request)
         victim.pending = txn

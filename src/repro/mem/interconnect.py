@@ -4,15 +4,14 @@ A fixed per-message latency plus per-endpoint injection serialization:
 each node can inject one message per cycle, so bursts from a single node
 spread out in time (the property GARNET gives the paper that actually
 matters for ordering).  Delivery order between a fixed (src, dst) pair is
-FIFO, which the coherence protocol relies on.  Every message is
-delivered by its own event-queue entry.
+FIFO, which the coherence protocol relies on.
 
-Every :meth:`Interconnect.send_msg` builds a fresh
-:class:`CoherenceMessage`; a handler that queues one past its return
-(deferral and blocked-request queues) just keeps the reference.
-Handlers and next-injection cycles live in dense lists indexed by
-``node + 1`` (the directory is node ``-1``), and deliveries are posted
-through ``post1`` with the prebound :meth:`Interconnect._deliver` — no
+:meth:`Interconnect.send_msg` builds a fresh :class:`CoherenceMessage`
+per send; a handler that queues one past its return (deferral and
+blocked-request queues) just keeps the reference.  Handlers and
+next-injection cycles live in dense lists indexed by ``node + 1`` (the
+directory is node ``-1``).  Every message is delivered by its own
+``post1`` event with the prebound :meth:`Interconnect._deliver` — no
 per-message closure.  Posting the handler itself would hide deliveries
 among the destination's own events, which the spin fast-forward engine
 tells apart by callback owner.
