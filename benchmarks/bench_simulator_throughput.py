@@ -5,6 +5,8 @@ in the event-driven core show up in benchmark history.  These use real
 pytest-benchmark rounds (they are cheap).
 """
 
+import sys
+
 from repro.core.policy import BASELINE, FREE_ATOMICS_FWD
 from repro.system.simulator import run_workload
 from repro.workloads.generator import WorkloadScale, generate_workload
@@ -59,7 +61,7 @@ def bench_generated_workload_baseline(benchmark):
 
 
 def bench_event_kernel_post_drain(benchmark):
-    """Raw EventQueue rate: post (no-handle fast path) + drain."""
+    """Raw EventQueue rate: post + drain."""
     from repro.common.events import EventQueue
 
     def run():
@@ -71,28 +73,7 @@ def bench_event_kernel_post_drain(benchmark):
 
         for i in range(50_000):
             queue.post(i % 7, tick)
-        while queue.run_next():
-            pass
-        return sink[0]
-
-    assert benchmark.pedantic(run, rounds=3, iterations=1) == 50_000
-
-
-def bench_event_kernel_run_cycle(benchmark):
-    """Batched same-cycle draining via run_cycle."""
-    from repro.common.events import EventQueue
-
-    def run():
-        queue = EventQueue()
-        sink = [0]
-
-        def tick():
-            sink[0] += 1
-
-        for i in range(50_000):
-            queue.post(i % 7, tick)
-        while queue.run_cycle() is not None:
-            pass
+        queue.drain([1], sys.maxsize)
         return sink[0]
 
     assert benchmark.pedantic(run, rounds=3, iterations=1) == 50_000

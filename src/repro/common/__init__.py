@@ -15,7 +15,7 @@ from repro.common.errors import (
     ReproError,
     SimulationError,
 )
-from repro.common.events import Event, EventQueue
+from repro.common.events import EventQueue
 from repro.common.rng import DeterministicRng
 from repro.common.stats import Histogram, StatsRegistry
 
@@ -25,7 +25,6 @@ __all__ = [
     "CoreConfig",
     "DeterministicRng",
     "DirectoryConfig",
-    "Event",
     "EventQueue",
     "Histogram",
     "MemoryConfig",

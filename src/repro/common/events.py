@@ -4,11 +4,21 @@ The whole multicore system runs on one :class:`EventQueue`.  Ties on
 cycle are broken by insertion order, which makes every run fully
 deterministic.
 
-Components never busy-poll; they schedule a callback for the cycle at
-which something happens (a cache response arrives, an instruction's
-operands become ready, the watchdog expires, ...).  Squash safety is the
-caller's concern: callbacks touching speculative state must check that
-the instruction they refer to is still alive (see ``uarch.core``).
+Components never busy-poll; they post a callback for the cycle at which
+something happens (a cache response arrives, an instruction's operands
+become ready, the watchdog expires, ...).  Nothing is ever cancelled: a
+callback whose reason has gone away checks that itself and returns.
+Squash safety is likewise the caller's concern: callbacks touching
+speculative state must check that the instruction they refer to is
+still alive (see ``uarch.core``).
+
+The API is what the simulator uses and nothing else: :meth:`post`,
+:meth:`post1` and :meth:`post_at` add entries, and :meth:`drain` is the
+one run loop.  :meth:`post1` carries one argument for the callback: the
+pipeline posts hundreds of thousands of per-instruction events per run,
+and passing the instruction as a stored argument instead of closing
+over it skips a closure (plus cell) allocation per event — ``drain``
+invokes ``callback(arg)`` directly off the queue entry.
 
 Hot-path design: the queue is a hybrid of a **calendar ring** and a
 binary heap.  Nearly every event in the simulator has a short delay
@@ -16,21 +26,13 @@ binary heap.  Nearly every event in the simulator has a short delay
 go into a ring of per-cycle buckets: ``post`` is an O(1) list append and
 draining a cycle is an O(1) index walk, with no heap sifts at all.  Only
 long delays (>= ``RING_CYCLES``, e.g. the deadlock watchdog) fall back
-to the heap.  The merge is *exact*: every entry carries the global
+to the heap.  Ring entries are ``(order, callback, arg)`` and heap
+entries ``(cycle, order, callback, arg)``; ``arg`` None means invoke
+``callback()``.  The merge is *exact*: every entry carries the global
 ``order`` counter, and for any target cycle all heap entries are older
 (they were posted at least ``RING_CYCLES`` cycles earlier) than all ring
 entries, so draining heap-then-ring per cycle reproduces the strict
 ``(cycle, order)`` execution order of a pure heap bit-for-bit.
-
-:meth:`EventQueue.post` is the fast path used by the simulator's
-internal components — none of them ever cancel, so it skips allocating
-an :class:`Event` handle entirely.  :meth:`EventQueue.schedule` keeps
-the cancellable API for callers that need it.  :meth:`EventQueue.post1`
-additionally carries one argument for the callback: the pipeline posts
-hundreds of thousands of per-instruction events per run, and passing the
-instruction as a stored argument instead of closing over it skips a
-closure (plus cell) allocation per event — the drain loops invoke
-``callback(arg)`` directly off the queue entry.
 """
 
 from __future__ import annotations
@@ -46,34 +48,6 @@ Callback = Callable[[], None]
 #: (DRAM is 240 cycles) with room to spare.
 RING_CYCLES = 256
 _RING_MASK = RING_CYCLES - 1
-
-
-class Event:
-    """Handle for one cancellable scheduled callback.
-
-    ``cancel()`` turns the queue entry into a no-op; the entry itself
-    stays queued and is discarded when popped.
-    """
-
-    __slots__ = ("cycle", "order", "callback", "cancelled")
-
-    def __init__(self, cycle: int, order: int, callback: Callback) -> None:
-        self.cycle = cycle
-        self.order = order
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.cycle != other.cycle:
-            return self.cycle < other.cycle
-        return self.order < other.order
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(cycle={self.cycle}, order={self.order}, {state})"
 
 
 class EventQueue:
@@ -94,8 +68,7 @@ class EventQueue:
     )
 
     def __init__(self) -> None:
-        # Heap entries are (cycle, order, callback, arg_or_None,
-        # handle_or_None); ``arg`` non-None means invoke ``callback(arg)``.
+        # Heap entries are (cycle, order, callback, arg_or_None).
         self._heap: list[tuple] = []
         self._order = 0
         #: Current simulation cycle.  A plain attribute, not a property:
@@ -106,8 +79,8 @@ class EventQueue:
         # Ring bucket b holds entries for exactly one in-flight cycle c
         # with c & _RING_MASK == b (no two pending cycles can collide
         # because ring delays are < RING_CYCLES).  Entries are
-        # (order, callback, arg_or_None, handle_or_None); _ring_pos[b] is
-        # the index of the next unconsumed entry in bucket b.
+        # (order, callback, arg_or_None); _ring_pos[b] is the index of
+        # the next unconsumed entry in bucket b.
         self._ring: list[list[tuple]] = [[] for _ in range(RING_CYCLES)]
         self._ring_pos = [0] * RING_CYCLES
         self._ring_count = 0
@@ -144,32 +117,10 @@ class EventQueue:
         self._ring_pos = [0] * RING_CYCLES
         self._ring_count = 0
 
-    def schedule(self, delay: int, callback: Callback) -> Event:
-        """Schedule ``callback`` ``delay`` cycles from now; cancellable."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        order = self._order
-        self._order = order + 1
-        cycle = self.now + delay
-        event = Event(cycle, order, callback)
-        if delay < RING_CYCLES:
-            self._ring[cycle & _RING_MASK].append((order, callback, None, event))
-            self._ring_count += 1
-            if cycle < self._ring_next:
-                self._ring_next = cycle
-        else:
-            heapq.heappush(self._heap, (cycle, order, callback, None, event))
-        return event
-
-    def schedule_at(self, cycle: int, callback: Callback) -> Event:
-        """Schedule ``callback`` at an absolute cycle (>= now)."""
-        return self.schedule(cycle - self.now, callback)
-
     def post(self, delay: int, callback: Callback) -> None:
-        """Fast path: schedule a callback that will never be cancelled.
+        """Run ``callback()`` ``delay`` cycles from now.
 
-        Identical ordering semantics to :meth:`schedule` (same sequence
-        counter), but no :class:`Event` handle is allocated.
+        Entries posted for the same cycle run in posting order.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
@@ -177,21 +128,19 @@ class EventQueue:
         self._order = order + 1
         if delay < RING_CYCLES:
             cycle = self.now + delay
-            self._ring[cycle & _RING_MASK].append((order, callback, None, None))
+            self._ring[cycle & _RING_MASK].append((order, callback, None))
             self._ring_count += 1
             if cycle < self._ring_next:
                 self._ring_next = cycle
         else:
-            heapq.heappush(
-                self._heap, (self.now + delay, order, callback, None, None)
-            )
+            heapq.heappush(self._heap, (self.now + delay, order, callback, None))
 
     def post1(self, delay: int, callback: Callable, arg) -> None:
         """:meth:`post` with one stored argument for the callback.
 
         Ordering-identical to ``post(delay, lambda: callback(arg))`` —
         same sequence counter, same bucket — but allocation-free: the
-        argument rides in the queue entry and the drain loops call
+        argument rides in the queue entry and :meth:`drain` calls
         ``callback(arg)`` directly.  ``arg`` must not be None (None is
         the no-argument marker in the entry tuple).
         """
@@ -201,18 +150,82 @@ class EventQueue:
         self._order = order + 1
         if delay < RING_CYCLES:
             cycle = self.now + delay
-            self._ring[cycle & _RING_MASK].append((order, callback, arg, None))
+            self._ring[cycle & _RING_MASK].append((order, callback, arg))
             self._ring_count += 1
             if cycle < self._ring_next:
                 self._ring_next = cycle
         else:
-            heapq.heappush(
-                self._heap, (self.now + delay, order, callback, arg, None)
-            )
+            heapq.heappush(self._heap, (self.now + delay, order, callback, arg))
 
     def post_at(self, cycle: int, callback: Callback) -> None:
-        """Fast-path :meth:`post` at an absolute cycle (>= now)."""
+        """:meth:`post` at an absolute cycle (>= now)."""
         self.post(cycle - self.now, callback)
+
+    def drain(self, counter: list, limit: int) -> int:
+        """Run events in ``(cycle, order)`` order until a stop condition.
+
+        ``counter`` is a one-element list that callbacks decrement; in
+        ``System.run`` it holds the number of unfinished cores, and each
+        core's Halt commit decrements it.  Returns
+
+        - ``0`` when ``counter[0]`` reached zero (all cores finished),
+        - ``1`` when the queue went empty first (deadlock),
+        - ``2`` when the next entry is due after ``limit`` (runaway
+          run).  That entry stays queued and the clock stays at or
+          below ``limit``, so a later ``drain`` resumes in order.
+
+        The limit is checked only when the clock advances, so the
+        per-event path pays nothing for it: entries due at the current
+        cycle run even if ``now`` is already past ``limit``.
+        """
+        heap = self._heap
+        ring = self._ring
+        pos = self._ring_pos
+        heappop = heapq.heappop
+        while counter[0]:
+            if self._ring_count:
+                # Earliest pending ring cycle.  Amortized O(1): the scan
+                # resumes from _ring_next, and every bucket it skips
+                # stays skipped until a post pulls the cursor back.
+                cycle = self._ring_next
+                if cycle < self.now:
+                    cycle = self.now
+                while True:
+                    b = cycle & _RING_MASK
+                    bucket = ring[b]
+                    if pos[b] < len(bucket):
+                        break
+                    cycle += 1
+                self._ring_next = cycle
+                if heap and heap[0][0] <= cycle:
+                    # Same-cycle heap entries are always older (posted
+                    # >= RING_CYCLES cycles earlier => smaller order).
+                    # bucket None: the next entry is the heap's head.
+                    cycle = heap[0][0]
+                    bucket = None
+            elif heap:
+                cycle = heap[0][0]
+                bucket = None
+            else:
+                return 1
+            if cycle != self.now:
+                if cycle > limit:
+                    return 2
+                self._advance(cycle)
+            if bucket is None:
+                _cycle, _order, callback, arg = heappop(heap)
+            else:
+                p = pos[b]
+                _order, callback, arg = bucket[p]
+                p += 1
+                self._ring_count -= 1
+                if p == len(bucket):
+                    bucket.clear()
+                    pos[b] = 0
+                else:
+                    pos[b] = p
+            callback() if arg is None else callback(arg)
+        return 0
 
     # -- spin fast-forward support ------------------------------------
     #
@@ -248,7 +261,7 @@ class EventQueue:
 
     def posted_cycle(self, order: int) -> int:
         """The cycle at which the live ring entry with ``order`` was
-        posted (by ``post``/``post1``/``schedule``/``post_at``).  A
+        posted (by ``post``/``post1``/``post_at``).  A
         :meth:`splice_ring` entry reports the cycle its caller passed:
         the posting cycle of the live twin it replays."""
         cycle = self._spliced_posts.get(order)
@@ -256,13 +269,9 @@ class EventQueue:
             return cycle
         return self._index_cycles[bisect_right(self._index_orders, order) - 1]
 
-    def ring_cycle_of(self, bucket_index: int) -> int:
-        """The in-flight cycle bucket ``bucket_index`` currently serves."""
-        return self.now + ((bucket_index - self.now) & _RING_MASK)
-
     def iter_ring(self):
-        """Yield ``(due_cycle, order, callback, arg, handle)`` for every
-        live (unconsumed) ring entry, in per-bucket positional order."""
+        """Yield ``(due_cycle, order, callback, arg)`` for every live
+        (unconsumed) ring entry, in per-bucket positional order."""
         ring = self._ring
         pos = self._ring_pos
         now = self.now
@@ -273,25 +282,22 @@ class EventQueue:
                 continue
             due = now + ((b - now) & _RING_MASK)
             for entry in bucket[p:]:
-                yield (due, entry[0], entry[1], entry[2], entry[3])
+                yield (due,) + entry
 
     def iter_heap(self):
-        """Yield ``(due_cycle, order, callback, arg, handle)`` for every
-        heap entry (cancelled ones included; callers filter)."""
-        for cycle, order, callback, arg, handle in self._heap:
-            yield (cycle, order, callback, arg, handle)
+        """Yield ``(due_cycle, order, callback, arg)`` for every heap
+        entry, in heap (not due) order."""
+        yield from self._heap
 
     def extract_ring(self, predicate) -> list:
         """Remove every live ring entry matching ``predicate`` and return
         them as ``(due_cycle, order, callback, arg)`` in (due, bucket
         position) order.
 
-        ``predicate(callback, arg)`` decides membership.  Entries with a
-        cancellable handle are never extracted (the handle would dangle);
-        the spin fast-forward engine only parks handle-free ``post``/
-        ``post1`` entries.  The current cycle's bucket may be mid-drain;
-        only its unconsumed tail is touched, which leaves the drain
-        loops' position bookkeeping exactly consistent.
+        ``predicate(callback, arg)`` decides membership.  The current
+        cycle's bucket may be mid-drain; only its unconsumed tail is
+        touched, which leaves the drain loop's position bookkeeping
+        exactly consistent.
         """
         ring = self._ring
         pos = self._ring_pos
@@ -306,8 +312,8 @@ class EventQueue:
             keep = []
             removed = 0
             for entry in bucket[p:]:
-                if entry[3] is None and predicate(entry[1], entry[2]):
-                    extracted.append((due, entry[0], entry[1], entry[2]))
+                if predicate(entry[1], entry[2]):
+                    extracted.append((due,) + entry)
                     removed += 1
                 else:
                     keep.append(entry)
@@ -341,7 +347,7 @@ class EventQueue:
         p = self._ring_pos[b] + index
         if p > len(bucket):
             p = len(bucket)
-        bucket.insert(p, (order, callback, arg, None))
+        bucket.insert(p, (order, callback, arg))
         if posted is not None:
             self._spliced_posts[order] = posted
         self._ring_count += 1
@@ -352,239 +358,4 @@ class EventQueue:
         """Live entries of ``due``'s bucket as ``(order, callback, arg)``,
         in consume order (index 0 = next to run at that cycle)."""
         b = due & _RING_MASK
-        bucket = self._ring[b]
-        p = self._ring_pos[b]
-        return [(e[0], e[1], e[2]) for e in bucket[p:]]
-
-    def _scan_ring(self) -> int:
-        """Cycle of the earliest pending ring entry (``_ring_count`` > 0).
-
-        Amortized O(1): the scan resumes from ``_ring_next`` and every
-        bucket it skips stays skipped until a post pulls the cursor back.
-        """
-        cycle = self._ring_next
-        if cycle < self.now:
-            cycle = self.now
-        ring = self._ring
-        pos = self._ring_pos
-        while True:
-            b = cycle & _RING_MASK
-            if pos[b] < len(ring[b]):
-                self._ring_next = cycle
-                return cycle
-            cycle += 1
-
-    def _pop_ring(self, cycle: int) -> tuple:
-        """Consume and return the next entry of ``cycle``'s bucket."""
-        b = cycle & _RING_MASK
-        bucket = self._ring[b]
-        p = self._ring_pos[b]
-        entry = bucket[p]
-        p += 1
-        self._ring_count -= 1
-        if p == len(bucket):
-            bucket.clear()
-            self._ring_pos[b] = 0
-        else:
-            self._ring_pos[b] = p
-        return entry
-
-    def run_next(self) -> bool:
-        """Pop and run the next non-cancelled event.
-
-        Returns False when the queue is empty.
-        """
-        heap = self._heap
-        while True:
-            if self._ring_count:
-                ring_cycle = self._scan_ring()
-                if heap and heap[0][0] <= ring_cycle:
-                    # Same-cycle heap entries are always older (posted
-                    # >= RING_CYCLES cycles earlier => smaller order).
-                    cycle, _order, callback, arg, handle = heapq.heappop(heap)
-                    if handle is not None and handle.cancelled:
-                        continue
-                    if cycle != self.now:
-                        self._advance(cycle)
-                    callback() if arg is None else callback(arg)
-                    return True
-                _order, callback, arg, handle = self._pop_ring(ring_cycle)
-                if handle is not None and handle.cancelled:
-                    continue
-                if ring_cycle != self.now:
-                    self._advance(ring_cycle)
-                callback() if arg is None else callback(arg)
-                return True
-            if heap:
-                cycle, _order, callback, arg, handle = heapq.heappop(heap)
-                if handle is not None and handle.cancelled:
-                    continue
-                if cycle != self.now:
-                    self._advance(cycle)
-                callback() if arg is None else callback(arg)
-                return True
-            return False
-
-    def drain(self, counter: list, max_cycles: int) -> int:
-        """Run events until a stop condition; the System.run hot loop.
-
-        ``counter`` is a one-element list holding the number of
-        unfinished cores; callbacks (each core's Halt commit) decrement
-        it.  Runs exactly the ``run_next`` event sequence and returns
-
-        - ``0`` when ``counter[0]`` reached zero (all cores finished),
-        - ``1`` when the queue went empty first (deadlock),
-        - ``2`` when ``now`` passed ``max_cycles`` after an event ran
-          (runaway run) — checked after every executed callback, like
-          the caller loop this inlines, so the same event that would
-          have run before the check still runs.
-
-        Equivalence: this is ``while counter[0]: run_next(); check
-        max_cycles`` with the per-event method call and the heap/ring
-        re-dispatch folded into one loop frame.  Cancelled entries are
-        skipped without touching the clock or the checks, exactly as
-        ``run_next``'s internal skip loop does.
-        """
-        heap = self._heap
-        ring = self._ring
-        pos = self._ring_pos
-        heappop = heapq.heappop
-        while counter[0]:
-            if self._ring_count:
-                # _scan_ring, inlined (hot loop: one call frame per event
-                # was measurable).  Resumes from _ring_next; every bucket
-                # skipped stays skipped until a post pulls the cursor back.
-                ring_cycle = self._ring_next
-                if ring_cycle < self.now:
-                    ring_cycle = self.now
-                while True:
-                    b = ring_cycle & _RING_MASK
-                    bucket = ring[b]
-                    if pos[b] < len(bucket):
-                        break
-                    ring_cycle += 1
-                self._ring_next = ring_cycle
-                if heap and heap[0][0] <= ring_cycle:
-                    # Same-cycle heap entries are always older (posted
-                    # >= RING_CYCLES cycles earlier => smaller order).
-                    cycle, _order, callback, arg, handle = heappop(heap)
-                    if handle is not None and handle.cancelled:
-                        continue
-                    if cycle != self.now:
-                        self._advance(cycle)
-                    callback() if arg is None else callback(arg)
-                else:
-                    p = pos[b]
-                    entry = bucket[p]
-                    p += 1
-                    self._ring_count -= 1
-                    if p == len(bucket):
-                        bucket.clear()
-                        pos[b] = 0
-                    else:
-                        pos[b] = p
-                    _order, callback, arg, handle = entry
-                    if handle is not None and handle.cancelled:
-                        continue
-                    if ring_cycle != self.now:
-                        self._advance(ring_cycle)
-                    callback() if arg is None else callback(arg)
-            elif heap:
-                cycle, _order, callback, arg, handle = heappop(heap)
-                if handle is not None and handle.cancelled:
-                    continue
-                if cycle != self.now:
-                    self._advance(cycle)
-                callback() if arg is None else callback(arg)
-            else:
-                return 1
-            if self.now > max_cycles:
-                return 2
-        return 0
-
-    def run_cycle(self) -> Optional[int]:
-        """Drain every event of the earliest pending cycle, batched.
-
-        Runs all events scheduled for that cycle (including zero-delay
-        events its callbacks add) in the same order ``run_next`` would,
-        paying the finish-check and loop overhead once per cycle instead
-        of once per event.  Returns the cycle drained, or None if the
-        queue was empty.
-        """
-        heap = self._heap
-        if self._ring_count:
-            cycle = self._scan_ring()
-            if heap and heap[0][0] < cycle:
-                cycle = heap[0][0]
-        elif heap:
-            cycle = heap[0][0]
-        else:
-            return None
-        if cycle != self.now:
-            self._advance(cycle)
-        # Priority within the cycle: heap (posted >= RING_CYCLES earlier
-        # than any ring entry, so smaller order), then ring.
-        pop = heapq.heappop
-        b = cycle & _RING_MASK
-        bucket = self._ring[b]
-        pos = self._ring_pos
-        while True:
-            if heap and heap[0][0] == cycle:
-                _cycle, _order, callback, arg, handle = pop(heap)
-                if handle is None or not handle.cancelled:
-                    callback() if arg is None else callback(arg)
-                continue
-            if pos[b] < len(bucket):
-                p = pos[b]
-                pos[b] = p + 1
-                self._ring_count -= 1
-                _order, callback, arg, handle = bucket[p]
-                if handle is None or not handle.cancelled:
-                    callback() if arg is None else callback(arg)
-                continue
-            break
-        bucket.clear()
-        pos[b] = 0
-        return cycle
-
-    def run_until(self, limit_cycle: int) -> None:
-        """Run all events scheduled at or before ``limit_cycle``."""
-        heap = self._heap
-        while True:
-            if self._ring_count:
-                ring_cycle = self._scan_ring()
-                if heap and heap[0][0] <= ring_cycle:
-                    cycle = heap[0][0]
-                    if cycle > limit_cycle:
-                        break
-                    _c, _order, callback, arg, handle = heapq.heappop(heap)
-                    if handle is not None and handle.cancelled:
-                        continue
-                    if cycle != self.now:
-                        self._advance(cycle)
-                    callback() if arg is None else callback(arg)
-                    continue
-                if ring_cycle > limit_cycle:
-                    break
-                _order, callback, arg, handle = self._pop_ring(ring_cycle)
-                if handle is not None and handle.cancelled:
-                    continue
-                if ring_cycle != self.now:
-                    self._advance(ring_cycle)
-                callback() if arg is None else callback(arg)
-                continue
-            if heap:
-                cycle = heap[0][0]
-                if cycle > limit_cycle:
-                    break
-                _c, _order, callback, arg, handle = heapq.heappop(heap)
-                if handle is not None and handle.cancelled:
-                    continue
-                if cycle != self.now:
-                    self._advance(cycle)
-                callback() if arg is None else callback(arg)
-                continue
-            break
-        if self.now < limit_cycle:
-            self._advance(limit_cycle)
-
+        return self._ring[b][self._ring_pos[b]:]

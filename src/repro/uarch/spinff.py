@@ -419,20 +419,17 @@ class SpinFastForward:
         """Canonical tuple of the core's pending events; also fills
         ``plan`` (when given) with the live ``(due, order, callback,
         arg)`` entries for extraction.  None when the pending set makes
-        parking illegal: a cancellable handle on an owned entry, an
-        uncanonicalizable argument, an owned heap entry, or an in-flight
-        delivery targeting this core (whose due cycle :meth:`abort` then
-        retries at)."""
+        parking illegal: an uncanonicalizable argument, an owned heap
+        entry, or an in-flight delivery targeting this core (whose due
+        cycle :meth:`abort` then retries at)."""
         queue = self.queue
         core = self.core
         hierarchy = self.hierarchy
         now = queue.now
         canon = []
-        for due, order, callback, arg, handle in queue.iter_ring():
+        for due, order, callback, arg in queue.iter_ring():
             owner = getattr(callback, "__self__", None)
             if owner is core or owner is hierarchy:
-                if handle is not None:
-                    return None
                 arg_c = self._canon_arg(arg, base)
                 if arg_c is _BAD:
                     return None
@@ -442,7 +439,7 @@ class SpinFastForward:
             elif self._targets_core(arg):
                 self._retry_at = due
                 return None
-        for due, order, callback, arg, handle in queue.iter_heap():
+        for due, _order, callback, arg in queue.iter_heap():
             owner = getattr(callback, "__self__", None)
             if owner is core or owner is hierarchy:
                 return None

@@ -2,34 +2,33 @@
 
 import pytest
 
-from repro.common.events import EventQueue
+from repro.common.events import RING_CYCLES, EventQueue
+from tests.conftest import run_all, run_until
 
 
 class TestEventQueue:
     def test_runs_in_time_order(self):
         queue = EventQueue()
         order = []
-        queue.schedule(5, lambda: order.append("b"))
-        queue.schedule(1, lambda: order.append("a"))
-        queue.schedule(9, lambda: order.append("c"))
-        while queue.run_next():
-            pass
+        queue.post(5, lambda: order.append("b"))
+        queue.post(1, lambda: order.append("a"))
+        queue.post(9, lambda: order.append("c"))
+        run_all(queue)
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_insertion(self):
         queue = EventQueue()
         order = []
         for tag in "abc":
-            queue.schedule(3, lambda t=tag: order.append(t))
-        while queue.run_next():
-            pass
+            queue.post(3, lambda t=tag: order.append(t))
+        run_all(queue)
         assert order == ["a", "b", "c"]
 
     def test_now_advances(self):
         queue = EventQueue()
         seen = []
-        queue.schedule(4, lambda: seen.append(queue.now))
-        queue.run_next()
+        queue.post(4, lambda: seen.append(queue.now))
+        run_all(queue)
         assert seen == [4]
         assert queue.now == 4
 
@@ -38,38 +37,29 @@ class TestEventQueue:
         order = []
 
         def outer():
-            queue.schedule(0, lambda: order.append("inner"))
+            queue.post(0, lambda: order.append("inner"))
             order.append("outer")
 
-        queue.schedule(1, outer)
-        while queue.run_next():
-            pass
+        queue.post(1, outer)
+        run_all(queue)
         assert order == ["outer", "inner"]
-
-    def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule(1, lambda: fired.append(1))
-        event.cancel()
-        assert not queue.run_next() or not fired
-        assert fired == []
 
     def test_negative_delay_rejected(self):
         queue = EventQueue()
         with pytest.raises(ValueError):
-            queue.schedule(-1, lambda: None)
+            queue.post1(-1, lambda arg: None, "arg")
 
     def test_schedule_at_absolute(self):
         queue = EventQueue()
         seen = []
-        queue.schedule(2, lambda: queue.schedule_at(10, lambda: seen.append(queue.now)))
-        while queue.run_next():
-            pass
+        run_until(queue, 2)
+        queue.post_at(10, lambda: seen.append(queue.now))
+        run_all(queue)
         assert seen == [10]
 
     def test_run_until_advances_clock(self):
         queue = EventQueue()
-        queue.run_until(42)
+        run_until(queue, 42)
         assert queue.now == 42
 
     def test_events_scheduled_during_run(self):
@@ -79,41 +69,38 @@ class TestEventQueue:
         def chain(n):
             order.append(n)
             if n < 3:
-                queue.schedule(1, lambda: chain(n + 1))
+                queue.post(1, lambda: chain(n + 1))
 
-        queue.schedule(1, lambda: chain(0))
-        while queue.run_next():
-            pass
+        queue.post(1, lambda: chain(0))
+        run_all(queue)
         assert order == [0, 1, 2, 3]
 
     def test_len_counts_pending(self):
         queue = EventQueue()
-        queue.schedule(1, lambda: None)
-        queue.schedule(2, lambda: None)
+        queue.post(1, lambda: None)
+        queue.post(2, lambda: None)
         assert len(queue) == 2
 
 
 class TestFastPath:
-    """post/post_at: the no-handle fast path used by the simulator."""
+    """post/post1/post_at: the three ways to add an entry."""
 
     def test_post_runs_in_order(self):
         queue = EventQueue()
         order = []
         queue.post(5, lambda: order.append("b"))
         queue.post(1, lambda: order.append("a"))
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert order == ["a", "b"]
 
-    def test_post_and_schedule_share_tiebreak_counter(self):
+    def test_post_and_post1_share_tiebreak_counter(self):
         queue = EventQueue()
         order = []
         queue.post(3, lambda: order.append("posted-first"))
-        queue.schedule(3, lambda: order.append("scheduled-second"))
+        queue.post1(3, order.append, "post1-second")
         queue.post(3, lambda: order.append("posted-third"))
-        while queue.run_next():
-            pass
-        assert order == ["posted-first", "scheduled-second", "posted-third"]
+        run_all(queue)
+        assert order == ["posted-first", "post1-second", "posted-third"]
 
     def test_post_negative_delay_rejected(self):
         queue = EventQueue()
@@ -124,62 +111,61 @@ class TestFastPath:
         queue = EventQueue()
         seen = []
         queue.post(2, lambda: queue.post_at(10, lambda: seen.append(queue.now)))
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert seen == [10]
 
-    def test_cancelled_schedule_between_posts_skipped(self):
+
+class TestDrain:
+    """``drain``'s three return codes."""
+
+    def test_returns_0_when_the_counter_reaches_zero(self):
         queue = EventQueue()
-        order = []
-        queue.post(1, lambda: order.append("a"))
-        event = queue.schedule(1, lambda: order.append("cancelled"))
-        queue.post(1, lambda: order.append("b"))
-        event.cancel()
-        while queue.run_next():
-            pass
-        assert order == ["a", "b"]
+        counter = [2]
+        fired = []
 
+        def finish() -> None:
+            fired.append(queue.now)
+            counter[0] -= 1
 
-class TestRunCycle:
-    def test_drains_one_cycle_batch(self):
+        queue.post(3, finish)
+        queue.post(7, finish)
+        queue.post(9, lambda: fired.append("after"))
+        assert queue.drain(counter, 100) == 0
+        assert fired == [3, 7]
+        assert queue.now == 7
+        assert len(queue) == 1
+
+    def test_returns_1_on_an_empty_queue(self):
         queue = EventQueue()
-        order = []
-        queue.post(2, lambda: order.append("x"))
-        queue.post(2, lambda: order.append("y"))
-        queue.post(5, lambda: order.append("later"))
-        assert queue.run_cycle() == 2
-        assert order == ["x", "y"]
-        assert queue.now == 2
+        assert queue.drain([1], 100) == 1
+        queue.post(5, lambda: None)
+        assert queue.drain([1], 100) == 1
+        assert queue.now == 5
+        assert len(queue) == 0
 
-    def test_includes_zero_delay_events_added_during_batch(self):
+    def test_returns_2_at_the_first_entry_past_the_limit(self):
         queue = EventQueue()
-        order = []
-
-        def outer():
-            order.append("outer")
-            queue.post(0, lambda: order.append("inner"))
-
-        queue.post(3, outer)
-        assert queue.run_cycle() == 3
-        assert order == ["outer", "inner"]
-
-    def test_empty_queue_returns_none(self):
-        queue = EventQueue()
-        assert queue.run_cycle() is None
-
-    def test_matches_run_next_ordering(self):
-        def build():
-            queue = EventQueue()
-            order = []
-            for tag in "abc":
-                queue.post(1, lambda t=tag: order.append(t))
-            queue.post(2, lambda: order.append("d"))
-            return queue, order
-
-        q1, o1 = build()
-        while q1.run_next():
-            pass
-        q2, o2 = build()
-        while q2.run_cycle() is not None:
-            pass
-        assert o1 == o2
+        fired = []
+        for delay, tag in (
+            (1, "a"),
+            (10, "b"),
+            (10, "c"),
+            (11, "d"),
+            (RING_CYCLES + 10, "e"),
+            (RING_CYCLES + 20, "f"),
+        ):
+            queue.post1(delay, fired.append, tag)
+        queue.post(10, lambda: queue.post(0, lambda: fired.append("zero")))
+        assert queue.drain([1], 10) == 2
+        # Every entry due at the limit ran, including one posted there;
+        # none past it did, and the clock stopped at the last one run.
+        assert fired == ["a", "b", "c", "zero"]
+        assert queue.now == 10
+        assert len(queue) == 3
+        # A later drain resumes in order, across the ring and the heap,
+        # and leaves the clock at the last entry run, not at the limit.
+        assert queue.drain([1], RING_CYCLES + 15) == 2
+        assert fired[4:] == ["d", "e"]
+        assert queue.now == RING_CYCLES + 10
+        assert queue.drain([1], 10**6) == 1
+        assert fired[6:] == ["f"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 
 import pytest
 
@@ -103,3 +104,18 @@ def replace_free_atomics(config: SystemConfig, **changes: object) -> SystemConfi
     return config.replace(
         free_atomics=dataclasses.replace(config.free_atomics, **changes)
     )
+
+
+def run_all(queue) -> None:
+    """Run every pending event, and every event those post, until the
+    queue is empty."""
+    outcome = queue.drain([1], sys.maxsize)
+    assert outcome == 1
+
+
+def run_until(queue, limit: int) -> None:
+    """Run every event due at or before ``limit``, then move the clock
+    up to ``limit``."""
+    queue.drain([1], limit)
+    if queue.now < limit:
+        queue._advance(limit)

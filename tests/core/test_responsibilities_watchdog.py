@@ -18,6 +18,7 @@ from repro.isa.instructions import AtomicRMW, Load, MemoryOperand, Store
 from repro.uarch.dynins import DynInstr
 from repro.uarch.lsq import StoreQueue
 from repro.uarch.probe import CoreProbe
+from tests.conftest import run_all, run_until
 
 
 def atomic(seq, word=None, data_ready=False):
@@ -179,18 +180,16 @@ class TestWatchdog:
         entry = aq.allocate(atomic(1))
         entry.lock(10, 0, 0)
         watchdog.reset()
-        queue.run_until(99)
+        run_until(queue, 99)
         assert not flushes
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert flushes == [entry]
         assert watchdog.timeouts == 1
 
     def test_does_not_fire_without_locks(self):
         queue, aq, watchdog, flushes = self.make()
         watchdog.reset()
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert not flushes
 
     def test_reset_postpones_firing(self):
@@ -198,12 +197,11 @@ class TestWatchdog:
         entry = aq.allocate(atomic(1))
         entry.lock(10, 0, 0)
         watchdog.reset()
-        queue.run_until(60)
+        run_until(queue, 60)
         watchdog.reset()  # another load_lock performed
-        queue.run_until(130)  # original deadline passed, renewed one not
+        run_until(queue, 130)  # original deadline passed, renewed one not
         assert not flushes
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert flushes  # fires at the renewed deadline
 
     def test_disabled_watchdog_never_fires(self):
@@ -211,8 +209,7 @@ class TestWatchdog:
         entry = aq.allocate(atomic(1))
         entry.lock(10, 0, 0)
         watchdog.reset()
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert not flushes
 
     def test_commit_resolves_before_firing(self):
@@ -221,10 +218,9 @@ class TestWatchdog:
         entry = aq.allocate(instr)
         entry.lock(10, 0, 0)
         watchdog.reset()
-        queue.run_until(50)
+        run_until(queue, 50)
         aq.deallocate(entry)  # store_unlock performed
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert not flushes
 
 
@@ -251,8 +247,7 @@ class TestWatchdogAccounting:
         entry = aq.allocate(atomic(1))
         entry.lock(10, 0, 0)
         watchdog.reset()
-        while queue.run_next():
-            pass
+        run_all(queue)
         return entry
 
     def test_shared_registry_does_not_alias_counts(self):

@@ -21,6 +21,7 @@ from repro.core.atomic_queue import AtomicQueue
 from repro.core.watchdog import DeadlockWatchdog
 from repro.isa.instructions import AtomicRMW, MemoryOperand
 from repro.uarch.dynins import DynInstr
+from tests.conftest import run_all, run_until
 
 
 def atomic(seq: int) -> DynInstr:
@@ -66,8 +67,7 @@ class TestArmedDeadline:
         # Disarming only happens when the check actually fires: the
         # entry is a real queue event, never cancelled early.
         assert watchdog.armed
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert not watchdog.armed
         assert watchdog.deadline is None
 
@@ -137,8 +137,7 @@ class TestParkPrimitives:
             (5, a),
             (9, a),
         ]
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert hits == [("b", 5)]
 
     def test_splice_ring_positions_against_live_entries(self):
@@ -155,15 +154,14 @@ class TestParkPrimitives:
         queue.post(4, mk("z"))
         # Replay an extracted entry *between* the live ones.
         queue.splice_ring(4, 1, mk("y"), None)
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert hits == ["x", "y", "z"]
 
     @staticmethod
     def _posted_by_callback(queue: EventQueue) -> dict:
         return {
             cb: queue.posted_cycle(order)
-            for _due, order, cb, _arg, _handle in queue.iter_ring()
+            for _due, order, cb, _arg in queue.iter_ring()
         }
 
     def test_posting_cycle_index_covers_every_post_entry_point(self):
@@ -171,12 +169,11 @@ class TestParkPrimitives:
         expected = {}
 
         def post_all() -> None:
-            # Four long-lived entries, one per posting entry point.
-            cbs = [lambda *_args, i=i: None for i in range(4)]
+            # Three long-lived entries, one per posting entry point.
+            cbs = [lambda *_args, i=i: None for i in range(3)]
             queue.post(200, cbs[0])
             queue.post1(150, cbs[1], "arg")
-            queue.schedule(100, cbs[2])
-            queue.post_at(queue.now + 180, cbs[3])
+            queue.post_at(queue.now + 180, cbs[2])
             for cb in cbs:
                 expected[cb] = queue.now
 
@@ -209,7 +206,7 @@ class TestParkPrimitives:
                 queue.post(1, tick)
 
         queue.post(1, tick)
-        queue.run_until(590 + RING_CYCLES - 2)
+        run_until(queue, 590 + RING_CYCLES - 2)
         # One record per clock advance, bounded by the horizon.
         assert len(queue._index_cycles) <= 2 * RING_CYCLES
         assert queue._index_cycles[0] > 590 - RING_CYCLES
@@ -225,16 +222,16 @@ class TestParkPrimitives:
             pass
 
         queue.post(60, parked)
-        queue.run_until(20)
+        run_until(queue, 20)
         (extracted,) = queue.extract_ring(lambda cb, arg: cb is parked)
         queue.post(30, live)  # posted at 20, due 50
-        queue.run_until(45)
+        run_until(queue, 45)
         # Un-park at 45: the live twin would have been posted at 25.
         queue.splice_ring(50, 0, parked, None, 25)
         queue.splice_ring(50, 2, live, None)
         posted = [
             (cb, queue.posted_cycle(order))
-            for _due, order, cb, _arg, _handle in queue.iter_ring()
+            for _due, order, cb, _arg in queue.iter_ring()
         ]
         assert extracted[0] == 60
         assert posted == [(parked, 25), (live, 20), (live, 45)]

@@ -6,21 +6,28 @@ from repro.core.policy import ALL_POLICIES, FREE_ATOMICS_FWD
 from repro.mem.invariants import assert_coherent, verify_system
 from repro.system.simulator import System
 from repro.workloads.generator import WorkloadScale, generate_workload
-from tests.conftest import counter_workload, small_system_config
+from tests.conftest import counter_workload, run_all, small_system_config
 
 
-def run_with_audits(system: System, every: int = 400) -> None:
-    """Drive the system manually, auditing invariants periodically."""
+def run_with_audits(system: System, every: int = 40) -> None:
+    """Drive the system manually, auditing invariants every ``every``
+    cycles and at the end."""
+    remaining = [len(system.cores)]
+
+    def core_finished() -> None:
+        remaining[0] -= 1
+
     for core in system.cores:
+        core.on_finished = core_finished
         core.start()
-    events = 0
-    while any(not core.finished for core in system.cores):
-        if not system.queue.run_next():
+    limit = 0
+    outcome = 2
+    while outcome == 2:
+        limit += every
+        outcome = system.queue.drain(remaining, limit)
+        if outcome == 1:
             pytest.fail("queue drained before completion")
-        events += 1
-        if events % every == 0:
-            assert_coherent(system)
-    assert_coherent(system)
+        assert_coherent(system)
 
 
 class TestInvariantsDuringContention:
@@ -50,8 +57,7 @@ class TestInvariantsDuringContention:
         )
         system.run()
         # Fully drain in-flight coherence traffic, then check strictly.
-        while system.queue.run_next():
-            pass
+        run_all(system.queue)
         assert verify_system(system, strict_directory=True) == []
 
 

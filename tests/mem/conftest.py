@@ -52,14 +52,11 @@ class MemoryHarness:
             self.hierarchies.append(hierarchy)
             self.lock_views.append(view)
 
-    def settle(self, max_events: int = 100_000) -> int:
-        """Drain the event queue; returns events processed."""
-        processed = 0
-        while self.queue.run_next():
-            processed += 1
-            if processed > max_events:
-                raise AssertionError("event queue did not settle")
-        return processed
+    def settle(self, max_cycles: int = 100_000) -> None:
+        """Drain the event queue; fail if it is still busy ``max_cycles``
+        cycles from now."""
+        if self.queue.drain([1], self.queue.now + max_cycles) == 2:
+            raise AssertionError("event queue did not settle")
 
     def read(self, core: int, line: int) -> bool:
         """Issue a read; returns whether it completed after settling."""

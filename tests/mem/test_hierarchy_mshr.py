@@ -1,6 +1,7 @@
 """Private-hierarchy MSHR behaviour: merging, upgrades, blocked fills."""
 
 from repro.mem.coherence import MESIState
+from tests.conftest import run_until
 from tests.mem.conftest import MemoryHarness
 
 
@@ -60,7 +61,7 @@ class TestBlockedFills:
         newcomer = ways * sets
         done = []
         hierarchy.request_read(newcomer, lambda: done.append(True))
-        harness.queue.run_until(harness.queue.now + 200)
+        run_until(harness.queue, harness.queue.now + 200)
         assert done  # value served without an L1 way
         assert harness.stats.get("core0.mem.l1_fill_blocked") >= 1
         assert not hierarchy.in_l1(newcomer)

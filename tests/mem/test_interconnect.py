@@ -6,6 +6,7 @@ from repro.common.events import EventQueue
 from repro.common.stats import StatsRegistry
 from repro.mem.coherence import CoherenceMessage, MessageKind
 from repro.mem.interconnect import Interconnect
+from tests.conftest import run_all
 
 
 def make_network(latency=5):
@@ -25,8 +26,7 @@ class TestDelivery:
         arrivals = []
         network.register(1, lambda m: arrivals.append(queue.now))
         network.send(msg(0, 1))
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert arrivals == [5]
 
     def test_per_source_injection_serialization(self):
@@ -35,8 +35,7 @@ class TestDelivery:
         network.register(1, lambda m: arrivals.append(queue.now))
         for _ in range(3):
             network.send(msg(0, 1))
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert arrivals == [5, 6, 7]  # one injection per cycle
 
     def test_different_sources_do_not_serialize(self):
@@ -45,8 +44,7 @@ class TestDelivery:
         network.register(9, lambda m: arrivals.append(queue.now))
         network.send(msg(0, 9))
         network.send(msg(1, 9))
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert arrivals == [5, 5]
 
     def test_fifo_between_pair(self):
@@ -56,8 +54,7 @@ class TestDelivery:
         a, b = msg(0, 1), msg(0, 1)
         network.send(a)
         network.send(b)
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert seen == [a.msg_id, b.msg_id]
 
 
@@ -84,24 +81,19 @@ class TestStats:
         queue, network, stats = make_network()
         network.register(1, lambda m: None)
         network.send(msg(0, 1))
-        while queue.run_next():
-            pass
+        run_all(queue)
         assert stats.aggregate("messages") == 1
         assert stats.get("network.kind.GetS") == 1
 
 
 class TestSendMsg:
-    def drain(self, queue):
-        while queue.run_next():
-            pass
-
     def test_msg_ids_fresh_and_monotonic(self):
         queue, network, _ = make_network()
         ids = []
         network.register(1, lambda m: ids.append(m.msg_id))
         for _ in range(4):
             network.send_msg(MessageKind.GET_S, 1, 0, 1)
-            self.drain(queue)
+            run_all(queue)
         assert ids == sorted(ids)
         assert len(set(ids)) == 4
 
@@ -112,9 +104,9 @@ class TestSendMsg:
         kept = []
         network.register(1, kept.append)
         network.send_msg(MessageKind.INV, 1, 0, 1, transaction=7)
-        self.drain(queue)
+        run_all(queue)
         network.send_msg(MessageKind.GET_X, 2, 0, 1)
-        self.drain(queue)
+        run_all(queue)
         first, second = kept
         assert second is not first
         assert (first.kind, first.line, first.transaction) == (

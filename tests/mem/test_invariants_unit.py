@@ -3,7 +3,7 @@
 from repro.mem.coherence import MESIState
 from repro.mem.invariants import _check_directory_tables, verify_system
 from repro.system.simulator import System
-from tests.conftest import counter_workload, small_system_config
+from tests.conftest import counter_workload, run_all, small_system_config
 
 
 def fresh_system(threads=2):
@@ -11,8 +11,7 @@ def fresh_system(threads=2):
         counter_workload(threads, 5), config=small_system_config(threads)
     )
     system.run()
-    while system.queue.run_next():
-        pass
+    run_all(system.queue)
     return system
 
 

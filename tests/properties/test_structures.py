@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheConfig
-from repro.common.events import EventQueue
+from repro.common.events import RING_CYCLES, EventQueue
 from repro.common.stats import Histogram
 from repro.isa.instructions import Alu, AluOp
 from repro.isa.registers import truncate
 from repro.isa.semantics import evaluate_alu, to_signed
 from repro.mem.cache import CacheArray
 from repro.uarch.bandwidth import BandwidthLimiter
+from tests.conftest import run_all
 
 values64 = st.integers(0, (1 << 64) - 1)
 
@@ -49,18 +53,72 @@ class TestSemanticsProperties:
             assert lt_ab + lt_ba == 1
 
 
+#: Delays across three ring horizons, with the ring/heap boundary drawn
+#: often enough that ring and heap entries meet on one cycle.
+_delays = st.one_of(
+    st.integers(0, 3 * RING_CYCLES),
+    st.sampled_from([0, 1, RING_CYCLES - 1, RING_CYCLES, RING_CYCLES + 1]),
+)
+_kinds = st.sampled_from(["post", "post1", "post_at"])
+#: A post is (kind, delay, children): its callback makes the child posts.
+_posts = st.recursive(
+    st.tuples(_kinds, _delays, st.just(())),
+    lambda inner: st.tuples(
+        _kinds, _delays, st.lists(inner, max_size=3).map(tuple)
+    ),
+    max_leaves=30,
+)
+
+
 class TestEventQueueProperties:
-    @given(delays=st.lists(st.integers(0, 50), min_size=1, max_size=40))
+    @given(plan=st.lists(_posts, min_size=1, max_size=12))
     @settings(max_examples=100)
-    def test_events_fire_in_nondecreasing_time(self, delays):
+    def test_events_fire_in_nondecreasing_time(self, plan):
+        """The ring/heap merge runs entries in exact ``(due, order)``
+        order: the order of a plain heap over every post."""
         queue = EventQueue()
-        fired: list[int] = []
-        for delay in delays:
-            queue.schedule(delay, lambda: fired.append(queue.now))
-        while queue.run_next():
-            pass
-        assert fired == sorted(fired)
-        assert len(fired) == len(delays)
+        fired: list[tuple[int, int]] = []
+        posts = itertools.count()
+
+        def fire(tag, children) -> None:
+            fired.append((queue.now, tag))
+            for child in children:
+                submit(child)
+
+        def submit(spec) -> None:
+            kind, delay, children = spec
+            tag = next(posts)
+            if kind == "post":
+                queue.post(delay, lambda: fire(tag, children))
+            elif kind == "post1":
+                queue.post1(delay, lambda arg: fire(*arg), (tag, children))
+            else:
+                queue.post_at(queue.now + delay, lambda: fire(tag, children))
+
+        for spec in plan:
+            submit(spec)
+        run_all(queue)
+
+        reference: list[tuple[int, int]] = []
+        heap: list = []
+        orders = itertools.count()
+
+        def push(spec, now: int) -> None:
+            _kind, delay, children = spec
+            heapq.heappush(heap, (now + delay, next(orders), children))
+
+        for spec in plan:
+            push(spec, 0)
+        while heap:
+            due, order, children = heapq.heappop(heap)
+            reference.append((due, order))
+            for child in children:
+                push(child, due)
+
+        times = [cycle for cycle, _tag in fired]
+        assert times == sorted(times)
+        assert len(fired) == next(posts)
+        assert fired == reference
 
 
 class TestBandwidthProperties:

@@ -74,7 +74,7 @@ def test_delivery_blocked_attempt_retries_when_it_lands(monkeypatch):
         now = engine.queue.now
         in_flight = {
             due
-            for due, _order, _cb, arg, _handle in engine.queue.iter_ring()
+            for due, _order, _cb, arg in engine.queue.iter_ring()
             if engine._targets_core(arg)
         }
         original(engine)
